@@ -1,23 +1,18 @@
 #include "supervisor.hh"
 
 #include <signal.h>
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <mutex>
 #include <sstream>
 #include <thread>
 
-#include "campaign/checkpoint.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 #include "util/atomic_file.hh"
 #include "util/crashpoint.hh"
 #include "util/logging.hh"
@@ -26,7 +21,6 @@ namespace davf {
 
 namespace {
 
-constexpr double kHeartbeatIntervalMs = 200.0;
 constexpr double kQuitGraceMs = 2000.0;
 constexpr double kKillGraceMs = 500.0;
 
@@ -47,14 +41,6 @@ textToDouble(const std::string &text, double &out)
     return end == begin + text.size() && !text.empty();
 }
 
-double
-nowMs()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 uint64_t
 fnv1a(const std::string &text, uint64_t hash = 0xcbf29ce484222325ull)
 {
@@ -73,21 +59,16 @@ fnv1a(const std::string &text, uint64_t hash = 0xcbf29ce484222325ull)
  */
 struct SupervisorMetrics
 {
+    DispatchMetrics dispatch{"supervisor"};
     obs::Counter workersSpawned{"supervisor.workers_spawned"};
     obs::Counter workersRetired{"supervisor.workers_retired"};
-    obs::Counter dispatches{"supervisor.dispatches"};
     obs::Counter retries{"supervisor.retries"};
-    obs::Counter heartbeats{"supervisor.heartbeats"};
-    obs::Counter backoffWaits{"supervisor.backoff_waits"};
     obs::Counter bisectProbes{"supervisor.bisect_probes"};
     obs::Counter quarantines{"supervisor.quarantines"};
     obs::Counter quarantineWriteFailures{
         "supervisor.quarantine_write_failures"};
     obs::Counter quarantineSkippedRecords{
         "supervisor.quarantine_skipped_records"};
-    obs::Counter dispatchNs{"supervisor.time.dispatch_ns"};
-    obs::Counter backoffNs{"supervisor.time.backoff_ns"};
-    obs::ValueHistogram shardWallUs{"supervisor.shard_wall_us"};
 };
 
 SupervisorMetrics &
@@ -95,24 +76,6 @@ supervisorMetrics()
 {
     static SupervisorMetrics *const metrics = new SupervisorMetrics();
     return *metrics;
-}
-
-/** Per-outcome attempt tallies, registered once each. */
-obs::Counter &
-outcomeCounter(std::string_view name)
-{
-    static std::mutex mutex;
-    static std::map<std::string, obs::Counter, std::less<>> counters;
-    const std::lock_guard<std::mutex> lock(mutex);
-    auto it = counters.find(name);
-    if (it == counters.end()) {
-        it = counters
-                 .emplace(std::string(name),
-                          obs::Counter("supervisor.outcome."
-                                       + std::string(name)))
-                 .first;
-    }
-    return it->second;
 }
 
 } // namespace
@@ -234,48 +197,6 @@ struct Supervisor::Slot
     bool ready = false; ///< The worker said hello and is idle.
 };
 
-struct Supervisor::Attempt
-{
-    enum class Outcome : uint8_t {
-        Ok,        ///< A well-formed reply arrived.
-        Crash,     ///< The worker died (signal or nonzero exit).
-        Timeout,   ///< Heartbeat or shard deadline expired; killed.
-        Oom,       ///< The worker exceeded its memory cap.
-        BadOutput, ///< The worker replied with something unparseable.
-        Error,     ///< The worker reported a deterministic DavfError.
-        Stopped,   ///< The cooperative stop flag interrupted us.
-    };
-
-    Outcome outcome = Outcome::Error;
-    std::string detail;
-    InjectionCycleOutcome cycleOutcome; ///< Valid for Ok davf shards.
-    SavfResult savfOutcome;             ///< Valid for Ok savf shards.
-    double wallMs = 0.0;
-    long rssKb = 0;
-    double userSec = 0.0;
-    double sysSec = 0.0;
-
-    bool retryable() const
-    {
-        return outcome == Outcome::Crash || outcome == Outcome::Timeout
-            || outcome == Outcome::Oom || outcome == Outcome::BadOutput;
-    }
-
-    const char *outcomeName() const
-    {
-        switch (outcome) {
-        case Outcome::Ok: return "ok";
-        case Outcome::Crash: return "crash";
-        case Outcome::Timeout: return "timeout";
-        case Outcome::Oom: return "oom";
-        case Outcome::BadOutput: return "bad-output";
-        case Outcome::Error: return "error";
-        case Outcome::Stopped: return "stopped";
-        }
-        return "?";
-    }
-};
-
 struct Supervisor::CellState
 {
     std::mutex mutex;
@@ -309,23 +230,16 @@ Supervisor::~Supervisor()
     }
 }
 
-bool
-Supervisor::stopRequested() const
-{
-    return options.stopFlag
-        && options.stopFlag->load(std::memory_order_relaxed);
-}
-
-void
+ExitStatus
 Supervisor::retireWorker(Slot &slot, double grace_ms)
 {
     if (!slot.proc)
-        return;
+        return {};
     supervisorMetrics().workersRetired.add(1);
-    if (slot.proc->running())
-        slot.proc->terminate(grace_ms);
+    const ExitStatus status = slot.proc->terminate(grace_ms);
     slot.proc.reset();
     slot.ready = false;
+    return status;
 }
 
 void
@@ -344,21 +258,21 @@ Supervisor::ensureWorker(Slot &slot)
     // The hello covers the worker's whole engine build (golden run
     // included), so it gets its own generous budget.
     std::string frame;
-    const Subprocess::ReadStatus st =
-        slot.proc->readFrame(frame, options.startTimeoutMs);
-    if (st != Subprocess::ReadStatus::Frame || frame != "hello") {
-        std::string detail;
-        if (st == Subprocess::ReadStatus::Timeout) {
-            detail = "no hello within "
-                + std::to_string(options.startTimeoutMs) + " ms";
-            retireWorker(slot, kKillGraceMs);
-        } else if (st == Subprocess::ReadStatus::Eof) {
-            detail = slot.proc->wait().describe();
-            slot.proc.reset();
-        } else {
-            detail = "unexpected first frame '" + frame + "'";
-            retireWorker(slot, kKillGraceMs);
-        }
+    FrameConn::ReadStatus st;
+    try {
+        st = slot.proc->conn().read(frame, options.startTimeoutMs);
+    } catch (const DavfError &) {
+        retireWorker(slot, kKillGraceMs);
+        throw;
+    }
+    if (st != FrameConn::ReadStatus::Frame || frame != "hello") {
+        const std::string detail = st == FrameConn::ReadStatus::Timeout
+            ? "no hello within " + std::to_string(options.startTimeoutMs)
+                + " ms"
+            : st == FrameConn::ReadStatus::Eof
+            ? slot.proc->wait().describe()
+            : "unexpected first frame '" + frame + "'";
+        retireWorker(slot, kKillGraceMs);
         davf_throw(ErrorKind::Io, "campaign worker failed to start (",
                    detail, "); command: ", options.workerArgv[0]);
     }
@@ -368,175 +282,45 @@ Supervisor::ensureWorker(Slot &slot)
 Supervisor::Attempt
 Supervisor::dispatchOnce(Slot &slot, const ShardSpec &spec)
 {
-    const obs::Span span("supervisor.dispatch",
-                         &supervisorMetrics().dispatchNs);
-    supervisorMetrics().dispatches.add(1);
-
     Attempt attempt;
-    const double started = nowMs();
-    auto finish = [&](Attempt::Outcome outcome, std::string detail) {
-        attempt.outcome = outcome;
-        attempt.detail = std::move(detail);
-        attempt.wallMs = nowMs() - started;
-        outcomeCounter(attempt.outcomeName()).add(1);
-        supervisorMetrics().shardWallUs.observe(
-            static_cast<uint64_t>(attempt.wallMs * 1000.0));
-        return attempt;
-    };
-    auto absorbStatus = [&](const ExitStatus &status) {
-        attempt.rssKb = status.maxRssKb;
-        attempt.userSec = status.userSec;
-        attempt.sysSec = status.sysSec;
-    };
-
     try {
         ensureWorker(slot);
     } catch (const DavfError &error) {
         // A worker that cannot even start is indistinguishable from a
         // startup crash; the retry path respawns it.
-        return finish(Attempt::Outcome::Crash, error.what());
+        attempt.outcome = Attempt::Outcome::Crash;
+        attempt.detail = error.what();
+        return attempt;
     }
 
-    try {
-        slot.proc->sendFrame("shard " + serializeShardSpec(spec));
-    } catch (const DavfError &) {
-        const ExitStatus status = slot.proc->terminate(kKillGraceMs);
-        slot.proc.reset();
-        slot.ready = false;
-        absorbStatus(status);
-        if (status.exited && status.code == 86)
-            return finish(Attempt::Outcome::Oom, status.describe());
-        return finish(Attempt::Outcome::Crash, status.describe());
+    attempt = exchangeShard(slot.proc->conn(), spec, options,
+                            supervisorMetrics().dispatch);
+    if (attempt.outcome == Attempt::Outcome::Ok
+        || attempt.outcome == Attempt::Outcome::Error)
+        return attempt;
+
+    // Any other outcome retires the worker, so the retry starts from a
+    // clean process. A worker that hung up (even mid-frame) is
+    // classified by its exit status: the OOM exit code, or a crash.
+    const ExitStatus status = retireWorker(slot, kKillGraceMs);
+    attempt.rssKb = status.maxRssKb;
+    attempt.userSec = status.userSec;
+    attempt.sysSec = status.sysSec;
+    if (attempt.outcome == Attempt::Outcome::Lost) {
+        attempt.outcome = status.exited && status.code == kOomExitCode
+            ? Attempt::Outcome::Oom
+            : Attempt::Outcome::Crash;
+        attempt.detail = status.describe();
     }
-
-    const double shard_deadline = options.shardTimeoutMs > 0.0
-        ? started + options.shardTimeoutMs
-        : 0.0;
-    std::string frame;
-    for (;;) {
-        double budget = options.heartbeatTimeoutMs;
-        if (shard_deadline > 0.0) {
-            const double remaining = shard_deadline - nowMs();
-            if (remaining <= 0.0) {
-                const ExitStatus status =
-                    slot.proc->terminate(kKillGraceMs);
-                slot.proc.reset();
-                slot.ready = false;
-                absorbStatus(status);
-                return finish(Attempt::Outcome::Timeout,
-                              "shard exceeded its "
-                                  + std::to_string(options.shardTimeoutMs)
-                                  + " ms budget");
-            }
-            budget = std::min(budget, remaining);
-        }
-
-        Subprocess::ReadStatus st;
-        try {
-            st = slot.proc->readFrame(frame, budget);
-        } catch (const DavfError &error) {
-            // Torn stream or read failure: the worker is unusable.
-            const ExitStatus status = slot.proc->terminate(kKillGraceMs);
-            slot.proc.reset();
-            slot.ready = false;
-            absorbStatus(status);
-            return finish(Attempt::Outcome::BadOutput, error.what());
-        }
-
-        if (st == Subprocess::ReadStatus::Eof) {
-            const ExitStatus status = slot.proc->wait();
-            slot.proc.reset();
-            slot.ready = false;
-            absorbStatus(status);
-            if (status.exited && status.code == 86)
-                return finish(Attempt::Outcome::Oom, status.describe());
-            return finish(Attempt::Outcome::Crash, status.describe());
-        }
-        if (st == Subprocess::ReadStatus::Timeout) {
-            if (shard_deadline > 0.0 && nowMs() < shard_deadline)
-                continue; // The heartbeat window is rearmed per frame.
-            const ExitStatus status = slot.proc->terminate(kKillGraceMs);
-            slot.proc.reset();
-            slot.ready = false;
-            absorbStatus(status);
-            return finish(Attempt::Outcome::Timeout,
-                          shard_deadline > 0.0
-                              ? "shard exceeded its "
-                                  + std::to_string(options.shardTimeoutMs)
-                                  + " ms budget"
-                              : "no heartbeat within "
-                                  + std::to_string(
-                                        options.heartbeatTimeoutMs)
-                                  + " ms");
-        }
-
-        if (frame == "hb") {
-            supervisorMetrics().heartbeats.add(1);
-            continue;
-        }
-
-        std::istringstream is(frame);
-        std::string tag;
-        is >> tag;
-        if (tag == "err") {
-            std::string kind;
-            is >> kind;
-            std::string message;
-            std::getline(is, message);
-            if (!message.empty() && message.front() == ' ')
-                message.erase(0, 1);
-            return finish(Attempt::Outcome::Error,
-                          kind + ": " + message);
-        }
-        if (tag == "ok") {
-            std::string what;
-            is >> what;
-            bool ok = false;
-            if (what == "davf" && spec.kind == ShardSpec::Kind::Cycle)
-                ok = parseOutcomeFields(is, attempt.cycleOutcome);
-            else if (what == "savf" && spec.kind == ShardSpec::Kind::Savf)
-                ok = parseSavfFields(is, attempt.savfOutcome);
-            std::string rss_tag;
-            if (ok && (is >> rss_tag) && rss_tag == "rss")
-                is >> attempt.rssKb >> attempt.userSec
-                    >> attempt.sysSec;
-            if (ok)
-                return finish(Attempt::Outcome::Ok, "");
-        }
-        // Anything else is protocol corruption: retire the worker so
-        // the retry starts from a clean process.
-        retireWorker(slot, kKillGraceMs);
-        return finish(Attempt::Outcome::BadOutput,
-                      "unparseable reply: " + frame.substr(0, 120));
-    }
-}
-
-void
-Supervisor::backoff(const ShardSpec &spec, unsigned attempt) const
-{
-    if (options.backoffBaseMs <= 0.0)
-        return;
-    double delay_ms =
-        options.backoffBaseMs * static_cast<double>(1u << attempt);
-    // Deterministic jitter: no shared clock or RNG state, yet distinct
-    // shards desynchronize their retries.
-    const uint64_t jitter_seed = fnv1a(
-        spec.structure + ':' + std::to_string(spec.cycle) + ':'
-        + std::to_string(attempt) + ':' + std::to_string(options.seed));
-    delay_ms +=
-        static_cast<double>(jitter_seed % 1000) / 1000.0
-        * options.backoffBaseMs;
-    SupervisorMetrics &sm = supervisorMetrics();
-    sm.backoffWaits.add(1);
-    const obs::Span span("supervisor.backoff", &sm.backoffNs);
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(delay_ms));
+    return attempt;
 }
 
 void
 Supervisor::recordMetrics(const ShardSpec &spec, unsigned attempt,
                           const Attempt &outcome)
 {
+    obs::Counter(std::string("supervisor.outcome.") + outcome.outcomeName())
+        .add(1);
     if (options.metricsCsvPath.empty())
         return;
     const std::lock_guard<std::mutex> lock(metricsMutex);
@@ -567,7 +351,7 @@ Supervisor::dispatchWithRetries(Slot &slot, const ShardSpec &spec)
 {
     Attempt attempt;
     for (unsigned n = 0;; ++n) {
-        if (stopRequested()) {
+        if (options.stopRequested()) {
             attempt.outcome = Attempt::Outcome::Stopped;
             attempt.detail = "stop requested";
             return attempt;
@@ -580,7 +364,7 @@ Supervisor::dispatchWithRetries(Slot &slot, const ShardSpec &spec)
         davf_warn("shard ", spec.structure, " cycle ", spec.cycle,
                   " attempt ", n, " failed (", attempt.detail,
                   "); retrying");
-        backoff(spec, n);
+        backoffShard(spec, n, options, supervisorMetrics().dispatch);
     }
 }
 
@@ -606,7 +390,7 @@ Supervisor::bisectAndQuarantine(Slot &slot, ShardSpec spec,
 
     Attempt last;
     for (;;) {
-        if (stopRequested()) {
+        if (options.stopRequested()) {
             last.outcome = Attempt::Outcome::Stopped;
             last.detail = "stop requested";
             return last;
@@ -633,7 +417,7 @@ Supervisor::bisectAndQuarantine(Slot &slot, ShardSpec spec,
                 hi = mid;
             else
                 lo = mid;
-            if (stopRequested()) {
+            if (options.stopRequested()) {
                 last.outcome = Attempt::Outcome::Stopped;
                 last.detail = "stop requested";
                 return last;
@@ -731,7 +515,7 @@ Supervisor::runDavfCell(
                     return;
                 job = cell.next++;
             }
-            if (stopRequested()) {
+            if (options.stopRequested()) {
                 const std::lock_guard<std::mutex> lock(cell.mutex);
                 cell.stopped = true;
                 return;
@@ -812,34 +596,18 @@ Supervisor::shutdown()
         if (!slot->proc || !slot->proc->running())
             continue;
         try {
-            slot->proc->sendFrame("quit");
+            slot->proc->conn().send("quit");
             slot->proc->closeWrite();
         } catch (const DavfError &) {
             // Already dead; terminate() below reaps it.
         }
     }
-    // Drain each worker's stream until its EOF (within the quit
-    // grace) before terminating: a reply frame racing the quit is
-    // consumed here instead of being misread as a failure, and a
-    // worker blocked flushing that reply into a full pipe can finish
-    // writing and exit cleanly instead of being killed mid-write.
-    const double deadline = nowMs() + kQuitGraceMs;
+    // Drain every worker within one shared grace window before
+    // terminating (drainUntilEof).
+    const double deadline = steadyNowMs() + kQuitGraceMs;
     for (const std::unique_ptr<Slot> &slot : slots) {
-        if (!slot->proc || !slot->proc->running())
-            continue;
-        try {
-            std::string frame;
-            for (;;) {
-                const double remaining = deadline - nowMs();
-                if (remaining <= 0.0)
-                    break;
-                if (slot->proc->readFrame(frame, remaining)
-                    != Subprocess::ReadStatus::Frame)
-                    break; // EOF (clean exit) or a hung worker.
-            }
-        } catch (const DavfError &) {
-            // A torn tail at shutdown is not worth reporting.
-        }
+        if (slot->proc && slot->proc->running())
+            drainUntilEof(slot->proc->conn(), deadline - steadyNowMs());
     }
     for (const std::unique_ptr<Slot> &slot : slots) {
         if (slot->proc && slot->proc->running())
@@ -849,140 +617,16 @@ Supervisor::shutdown()
     }
 }
 
-// ---------------------------------------------------------------------
-// Worker side
-// ---------------------------------------------------------------------
-
-namespace {
-
-/**
- * Sends "hb" frames while a shard computes, so the supervisor can tell
- * a slow shard from a dead worker. Frame writes from this thread and
- * the main reply path share one mutex: frames must never interleave.
- */
-class Heartbeat
-{
-  public:
-    Heartbeat(std::mutex &the_mutex) : writeMutex(the_mutex)
-    {
-        thread = std::thread([this] { run(); });
-    }
-
-    ~Heartbeat()
-    {
-        done.store(true, std::memory_order_relaxed);
-        thread.join();
-    }
-
-  private:
-    void run()
-    {
-        double last_beat = nowMs();
-        while (!done.load(std::memory_order_relaxed)) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-            if (nowMs() - last_beat < kHeartbeatIntervalMs)
-                continue;
-            last_beat = nowMs();
-            try {
-                const std::lock_guard<std::mutex> lock(writeMutex);
-                writeFrameFd(STDOUT_FILENO, "hb");
-            } catch (const DavfError &) {
-                return; // The supervisor hung up; stop beating.
-            }
-        }
-    }
-
-    std::mutex &writeMutex;
-    std::atomic<bool> done{false};
-    std::thread thread;
-};
-
-std::string
-selfRusageSuffix()
-{
-    struct rusage ru = {};
-    ::getrusage(RUSAGE_SELF, &ru);
-    char buffer[96];
-    std::snprintf(buffer, sizeof buffer, " rss %ld %.3f %.3f",
-                  ru.ru_maxrss,
-                  static_cast<double>(ru.ru_utime.tv_sec)
-                      + static_cast<double>(ru.ru_utime.tv_usec) * 1e-6,
-                  static_cast<double>(ru.ru_stime.tv_sec)
-                      + static_cast<double>(ru.ru_stime.tv_usec) * 1e-6);
-    return buffer;
-}
-
-} // namespace
-
 int
 runCampaignWorker(VulnerabilityEngine &engine,
                   const StructureRegistry &registry)
 {
     ::signal(SIGPIPE, SIG_IGN);
-    std::mutex write_mutex;
-    auto send = [&](const std::string &payload) {
-        const std::lock_guard<std::mutex> lock(write_mutex);
-        writeFrameFd(STDOUT_FILENO, payload);
-    };
-
+    // The supervisor's socketpair end is both stdin and stdout.
+    FrameConn conn(STDIN_FILENO);
     try {
-        send("hello");
-        std::string frame;
-        while (readFrameFd(STDIN_FILENO, frame)) {
-            if (frame == "quit")
-                break;
-            if (frame.rfind("shard ", 0) != 0) {
-                send("err bad-input unknown frame");
-                continue;
-            }
-            Result<ShardSpec> parsed = parseShardSpec(frame.substr(6));
-            if (!parsed) {
-                send(std::string("err bad-input ")
-                     + parsed.error().what());
-                continue;
-            }
-            const ShardSpec &spec = parsed.value();
-            const Structure *structure = registry.find(spec.structure);
-            if (!structure) {
-                send("err not-found unknown structure '" + spec.structure
-                     + "'");
-                continue;
-            }
-
-            // Workers compute one shard at a time; inner threading
-            // would multiply processes times threads.
-            SamplingConfig sampling = spec.sampling;
-            sampling.threads = 1;
-
-            std::string reply;
-            try {
-                const Heartbeat heartbeat(write_mutex);
-                if (spec.kind == ShardSpec::Kind::Cycle) {
-                    const InjectionCycleOutcome out = engine.delayAvfCycle(
-                        *structure, spec.delayFraction, spec.cycle,
-                        sampling, spec.wireBegin, spec.wireEnd,
-                        spec.quarantined);
-                    reply = "ok davf " + serializeOutcomeFields(out);
-                } else {
-                    const SavfResult out =
-                        engine.savf(*structure, sampling);
-                    reply = "ok savf " + serializeSavfFields(out);
-                }
-                reply += selfRusageSuffix();
-            } catch (const std::bad_alloc &) {
-                // The conventional OOM exit: the supervisor reads exit
-                // code 86 as "memory cap tripped", distinct from a
-                // crash.
-                ::_exit(86);
-            } catch (const DavfError &error) {
-                reply = std::string("err ")
-                    + std::string(errorKindName(error.kind())) + " "
-                    + error.what();
-            } catch (const std::exception &error) {
-                reply = std::string("err exception ") + error.what();
-            }
-            send(reply);
-        }
+        conn.send("hello");
+        serveShards(engine, registry, conn);
     } catch (const DavfError &error) {
         std::fprintf(stderr, "campaign worker: fatal: %s\n",
                      error.what());

@@ -9,10 +9,12 @@
  *
  *  - the campaign re-executes its own binary in a hidden worker mode
  *    (the worker builds the same engine, then serves shards over a
- *    length-prefixed pipe protocol with heartbeats);
+ *    socketpair with the shared shard exchange,
+ *    campaign/shard_exchange.hh);
  *  - each shard (one injection cycle, or one whole sAVF evaluation) is
  *    dispatched to a pool of N workers; a worker that crashes, hangs
- *    past its deadline, or trips its memory cap is killed and respawned;
+ *    past its deadline, or trips its memory cap is killed and respawned,
+ *    and a worker that hung up is classified by its exit status;
  *  - failed shards are retried with exponential backoff; a shard that
  *    keeps crashing is **bisected** over its sampled-wire index range
  *    down to the single offending injection, which is recorded as a
@@ -22,7 +24,7 @@
  *  - shard replies carry the exact journal token grammar, so results
  *    aggregate bit-identically to thread mode at any worker count.
  *
- * See docs/ROBUSTNESS.md for the wire protocol and the quarantine
+ * See docs/ROBUSTNESS.md for the shard exchange and the quarantine
  * record format.
  */
 
@@ -37,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/shard_exchange.hh"
 #include "core/shard.hh"
 #include "core/vulnerability.hh"
 #include "netlist/structure.hh"
@@ -46,7 +49,7 @@
 namespace davf {
 
 /** How workers are run and how their failures are handled. */
-struct SupervisorOptions
+struct SupervisorOptions : DispatchPolicy
 {
     /**
      * Command line that starts one worker process (argv[0] is the
@@ -57,19 +60,6 @@ struct SupervisorOptions
 
     /** Worker process pool size. */
     unsigned workers = 1;
-
-    /** Re-dispatch attempts per shard beyond the first. */
-    unsigned maxRetries = 2;
-
-    /** Base of the exponential retry backoff (with jitter). */
-    double backoffBaseMs = 50.0;
-
-    /** A worker silent for this long is presumed hung and killed. */
-    double heartbeatTimeoutMs = 10000.0;
-
-    /** Per-attempt wall-clock budget for one shard; 0 = unlimited.
-     *  Catches hangs that keep heartbeating. */
-    double shardTimeoutMs = 0.0;
 
     /** Budget for a fresh worker's hello (covers engine build). */
     double startTimeoutMs = 120000.0;
@@ -89,12 +79,6 @@ struct SupervisorOptions
     /** Campaign identity stamped into quarantine records. */
     std::string configHash;
     std::string benchmark;
-
-    /** Deterministic backoff jitter seed. */
-    uint64_t seed = 1;
-
-    /** Cooperative stop flag; checked between attempts. */
-    const std::atomic<bool> *stopFlag = nullptr;
 };
 
 /**
@@ -186,15 +170,14 @@ class Supervisor
 
   private:
     struct Slot;      // One worker process and its state.
-    struct Attempt;   // One shard dispatch and its classified outcome.
     struct CellState; // Shared per-cell dispatch bookkeeping.
+    using Attempt = ShardAttempt;
 
-    bool stopRequested() const;
     void ensureWorker(Slot &slot);
-    void retireWorker(Slot &slot, double grace_ms);
+    /** Reap the slot's worker (SIGTERM, then SIGKILL after the grace). */
+    ExitStatus retireWorker(Slot &slot, double grace_ms);
     Attempt dispatchOnce(Slot &slot, const ShardSpec &spec);
     Attempt dispatchWithRetries(Slot &slot, const ShardSpec &spec);
-    void backoff(const ShardSpec &spec, unsigned attempt) const;
     void recordMetrics(const ShardSpec &spec, unsigned attempt,
                        const Attempt &outcome);
 
@@ -214,9 +197,10 @@ class Supervisor
 };
 
 /**
- * The worker side: serve shard requests over stdin/stdout until EOF or
- * a quit frame. Called by tools after building the engine when the
- * hidden worker flag is present. Returns the process exit code.
+ * The worker side: say hello, then serveShards() on the socketpair
+ * the supervisor made stdin and stdout, until EOF or a quit frame.
+ * Called by tools after building the engine when the hidden worker
+ * flag is present. Returns the process exit code.
  */
 int runCampaignWorker(VulnerabilityEngine &engine,
                       const StructureRegistry &registry);

@@ -12,16 +12,17 @@
  * nodes naturally take more shards and a slow node never gates the
  * queue.
  *
- * Failure policy, mirroring the PR-2 supervisor:
- *  - "hb" heartbeats while a shard computes; a node silent past the
- *    heartbeat timeout — or past the shard deadline while still
- *    heartbeating — is presumed dead/hung, its connection closed, and
- *    its shard re-dispatched;
+ * Each attempt is one exchangeShard() (campaign/shard_exchange.hh),
+ * the same frame conversation the process supervisor runs; this class
+ * keeps only the fleet's policy:
+ *  - a node whose connection the exchange closed (lost, torn stream,
+ *    heartbeat silence, or the shard deadline expiring while it still
+ *    heartbeats) is retired from the fleet and its shard re-queued;
  *  - retryable failures (lost node, timeout, unparseable reply) are
- *    re-queued with deterministic-jitter exponential backoff, up to
- *    maxRetries per shard; past that the shard falls back to **local
- *    in-process execution**, so infrastructure failures never fail a
- *    cell;
+ *    re-queued with the shared deterministic-jitter exponential
+ *    backoff, up to maxRetries per shard; past that the shard falls
+ *    back to **local in-process execution**, so infrastructure
+ *    failures never fail a cell;
  *  - a node that keeps failing shards (maxNodeFailures) is
  *    quarantined: disconnected and removed from the fleet;
  *  - when the fleet drains to zero mid-cell, the remaining jobs run
@@ -32,7 +33,7 @@
  *
  * The optional cache callbacks let the content-addressed result store
  * act as a shared tier: a shard any node (or any earlier run) already
- *computed is a store hit, not a recompute, and fresh outcomes are
+ * computed is a store hit, not a recompute, and fresh outcomes are
  * written back as they arrive.
  *
  * Replies carry the exact journal token grammar, and aggregation runs
@@ -56,41 +57,23 @@
 #include <vector>
 
 #include "campaign/campaign.hh"
+#include "campaign/shard_exchange.hh"
 #include "core/shard.hh"
 #include "core/vulnerability.hh"
 #include "net/frame.hh"
 
 namespace davf::net {
 
-/** Fleet and failure policy for one Coordinator. */
-struct CoordinatorOptions
+/** Fleet and failure policy for one Coordinator. maxRetries counts
+ *  re-dispatches per shard; past it the shard runs locally. */
+struct CoordinatorOptions : DispatchPolicy
 {
     /** Expected workspace fingerprint; a hello naming another one is
      *  rejected (empty accepts anything — tests only). */
     std::string fingerprint;
 
-    /** Re-dispatch attempts per shard beyond the first; past this the
-     *  shard runs locally. */
-    unsigned maxRetries = 2;
-
-    /** Base of the exponential re-dispatch backoff (with jitter). */
-    double backoffBaseMs = 50.0;
-
-    /** A busy node silent for this long is presumed dead. */
-    double heartbeatTimeoutMs = 10000.0;
-
-    /** Per-attempt wall-clock budget for one shard; 0 = unlimited.
-     *  Catches stalled nodes that keep heartbeating. */
-    double shardTimeoutMs = 0.0;
-
     /** Retryable failures before a node is quarantined. */
     unsigned maxNodeFailures = 3;
-
-    /** Deterministic backoff jitter seed. */
-    uint64_t seed = 1;
-
-    /** Cooperative stop flag; checked between dispatches. */
-    const std::atomic<bool> *stopFlag = nullptr;
 
     /**
      * @name Local execution + shared cache tier
@@ -158,10 +141,8 @@ class Coordinator : public ShardDispatcher
     struct Job;
     struct CellCtx;
 
-    bool stopRequested() const;
     void acceptLoop();
     void drainNode(const std::shared_ptr<Node> &node, CellCtx &ctx);
-    void backoff(const ShardSpec &spec, unsigned attempt) const;
     void computeLocally(CellCtx &ctx, Job &job);
     void finishJob(CellCtx &ctx, Job &job);
     CellResult runCell(std::vector<Job> jobs,

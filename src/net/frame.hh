@@ -2,11 +2,11 @@
  * @file
  * TCP plumbing for the distributed campaign fabric.
  *
- * The wire format is exactly the campaign worker pipe protocol lifted
- * onto a socket: 4-byte little-endian length-prefixed frames with the
- * same kMaxFrameBytes ceiling (util/subprocess.hh), so a reader never
- * sees a torn message and an oversized or hostile length prefix is
- * rejected *before* any allocation.
+ * The wire format is the shard exchange's framed connection
+ * (util/frame_conn.hh, campaign/shard_exchange.hh) on a TCP socket:
+ * 4-byte little-endian length-prefixed frames with the kMaxFrameBytes
+ * ceiling, so a reader never sees a torn message and an oversized or
+ * hostile length prefix is rejected *before* any allocation.
  *
  * On top of the frames sits a versioned handshake. A connecting worker
  * introduces itself first:
@@ -22,7 +22,8 @@
  * silently mixing results. A garbage or wrong-version hello is rejected
  * and the connection closed.
  *
- * See docs/DISTRIBUTED.md for the full frame grammar.
+ * See docs/DISTRIBUTED.md for the handshake and docs/ROBUSTNESS.md for
+ * the shard exchange that follows it.
  */
 
 #ifndef DAVF_NET_FRAME_HH
@@ -33,6 +34,7 @@
 #include <string_view>
 
 #include "util/error.hh"
+#include "util/frame_conn.hh"
 
 namespace davf::net {
 
@@ -65,9 +67,10 @@ int connectTcp(const std::string &host, uint16_t port,
                double timeout_ms);
 
 /**
- * connectTcp with up to @p retries additional attempts, backing off
- * exponentially from @p backoff_base_ms between attempts — a worker
- * started before (or across a restart of) its coordinator rides the
+ * connectTcp with up to @p retries additional attempts, sleeping
+ * retryBackoffMs(@p backoff_base_ms, attempt, 0, "host:port")
+ * (campaign/shard_exchange.hh) between attempts — a worker started
+ * before (or across a restart of) its coordinator rides the
  * ECONNREFUSED window out instead of dying on the first one.
  */
 int connectTcpRetry(const std::string &host, uint16_t port,
@@ -77,62 +80,6 @@ int connectTcpRetry(const std::string &host, uint16_t port,
 /** Split "host:port" (throws DavfError{BadArgument} on bad input). */
 void parseHostPort(const std::string &text, std::string &host,
                    uint16_t &port);
-
-/**
- * One framed stream connection. Owns the fd; reads buffer partial
- * frames across calls (a Timeout loses nothing), writes retry short
- * writes and EINTR (util/subprocess writeFrameFd). Not thread-safe:
- * callers that write from several threads share a mutex.
- */
-class FrameConn
-{
-  public:
-    FrameConn() = default;
-    explicit FrameConn(int the_fd) : fd(the_fd) {}
-    ~FrameConn() { close(); }
-
-    FrameConn(const FrameConn &) = delete;
-    FrameConn &operator=(const FrameConn &) = delete;
-    FrameConn(FrameConn &&other) noexcept { *this = std::move(other); }
-    FrameConn &
-    operator=(FrameConn &&other) noexcept
-    {
-        if (this != &other) {
-            close();
-            fd = other.fd;
-            rxBuffer = std::move(other.rxBuffer);
-            other.fd = -1;
-            other.rxBuffer.clear();
-        }
-        return *this;
-    }
-
-    bool open() const { return fd >= 0; }
-
-    /** Send one frame (throws DavfError{Io} if the peer vanished). */
-    void send(std::string_view payload);
-
-    enum class ReadStatus : uint8_t {
-        Frame,   ///< A complete frame was read into @c out.
-        Eof,     ///< The peer closed the connection cleanly.
-        Timeout, ///< No complete frame arrived before the deadline.
-    };
-
-    /**
-     * Read one frame with a wall-clock budget of @p timeout_ms (<= 0
-     * polls once without blocking). Throws DavfError{BadInput} on a
-     * torn or oversized frame (rejected before allocating) and
-     * DavfError{Io} on a read error.
-     */
-    ReadStatus read(std::string &out, double timeout_ms);
-
-    /** Close the connection (idempotent). */
-    void close();
-
-  private:
-    int fd = -1;
-    std::string rxBuffer; ///< Bytes read but not yet framed.
-};
 
 /** A parsed worker hello. */
 struct Hello

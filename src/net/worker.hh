@@ -1,16 +1,17 @@
 /**
  * @file
- * The remote campaign worker: the pipe worker's serve loop
- * (campaign/supervisor.hh runCampaignWorker) lifted onto a TCP
- * connection to a coordinator.
+ * The remote campaign worker: the shared serve loop
+ * (campaign/shard_exchange.hh serveShards) on a TCP connection to a
+ * coordinator.
  *
  * A worker connects (with retries and exponential backoff, so it can
  * be started before its coordinator), introduces itself with the
  * versioned hello carrying its node name and workspace fingerprint,
- * and then serves "shard <spec>" requests exactly like a pipe worker:
+ * and then serves "shard <spec>" requests exactly like a process worker:
  * one shard at a time, sampling.threads forced to 1, "hb" heartbeats
  * while computing, replies in the journal token grammar so results
- * aggregate bit-identically on the coordinator.
+ * aggregate bit-identically on the coordinator. The DAVF_TEST_NETFAULT
+ * hook (net/netfault.hh) rides on the serve loop's per-shard hooks.
  *
  * A clean "quit" ends the worker with exit 0 — after its last reply
  * has been written, so a quit racing an in-flight result never loses

@@ -3,8 +3,8 @@
  * The davf_serve client/server protocol.
  *
  * Transport: a Unix-domain stream socket carrying the same 4-byte
- * little-endian length-prefixed frames as the campaign worker pipes
- * (util/subprocess's writeFrameFd/readFrameFd work on any fd), so a
+ * little-endian length-prefixed frames as the campaign shard exchange
+ * (util/frame_conn.hh's writeFrameFd/readFrameFd work on any fd), so a
  * reader never sees a torn message.
  *
  * Frame grammar (payloads are single-line text; see docs/SERVICE.md):

@@ -198,10 +198,8 @@ QueryScheduler::runDavfCell(const Structure &structure,
                 payload && parseOutcomePayload(*payload, outcome)) {
                 progress.completed.push_back(std::move(outcome));
                 ++reply.storeHits;
-                schedulerMetrics().shardHits.add(1);
                 schedulerMetrics().inFlightHits.add(1);
                 const std::lock_guard<std::mutex> stats_lock(statsMutex);
-                ++counters.shardHits;
                 ++counters.inFlightHits;
             } else {
                 still.push_back(cycle);
@@ -318,10 +316,8 @@ QueryScheduler::runSavfCell(const Structure &structure,
     const std::lock_guard<std::mutex> engine_lock(engineMutex);
     if ((hit = tryLookup())) {
         ++reply.storeHits;
-        schedulerMetrics().shardHits.add(1);
         schedulerMetrics().inFlightHits.add(1);
         const std::lock_guard<std::mutex> stats_lock(statsMutex);
-        ++counters.shardHits;
         ++counters.inFlightHits;
         return R::Ok(std::move(*hit));
     }

@@ -28,7 +28,7 @@
  * re-checks the store after acquiring the compute lock: identical
  * shards requested by concurrent clients are therefore computed once —
  * the second client finds them already stored (tallied as
- * inFlightHits) and only aggregates.
+ * inFlightHits, and only there) and only aggregates.
  */
 
 #ifndef DAVF_SERVICE_SCHEDULER_HH
@@ -68,7 +68,9 @@ std::string shardStoreKey(const std::string &fingerprint,
 struct SchedulerStats
 {
     uint64_t queries = 0;       ///< Queries answered successfully.
-    uint64_t shardHits = 0;     ///< Shards served from the store.
+    // The three shard tallies are disjoint: each shard a query needs
+    // lands in exactly one of them.
+    uint64_t shardHits = 0;     ///< Shards found on the first lookup.
     uint64_t inFlightHits = 0;  ///< Misses resolved by another client's
                                 ///< concurrent compute of the same shard.
     uint64_t shardsComputed = 0; ///< Shards simulated here.

@@ -1,14 +1,13 @@
 #include "subprocess.hh"
 
-#include <fcntl.h>
-#include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
 #include "util/logging.hh"
@@ -16,15 +15,6 @@
 namespace davf {
 
 namespace {
-
-uint64_t
-steadyNowMs()
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
 
 void
 decodeRusage(const struct rusage &ru, ExitStatus &status)
@@ -51,15 +41,6 @@ decodeWait(int wstatus, const struct rusage &ru)
     return status;
 }
 
-void
-closeQuiet(int &fd)
-{
-    if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-    }
-}
-
 } // namespace
 
 std::string
@@ -75,102 +56,12 @@ ExitStatus::describe() const
     return "in unknown state";
 }
 
-void
-writeFrameFd(int fd, std::string_view payload)
-{
-    davf_assert(payload.size() <= kMaxFrameBytes,
-                "frame payload too large: ", payload.size());
-    uint8_t header[4];
-    const auto size = static_cast<uint32_t>(payload.size());
-    header[0] = static_cast<uint8_t>(size);
-    header[1] = static_cast<uint8_t>(size >> 8);
-    header[2] = static_cast<uint8_t>(size >> 16);
-    header[3] = static_cast<uint8_t>(size >> 24);
-
-    std::string wire(reinterpret_cast<const char *>(header), 4);
-    wire.append(payload);
-    size_t sent = 0;
-    while (sent < wire.size()) {
-        const ssize_t n =
-            ::write(fd, wire.data() + sent, wire.size() - sent);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            davf_throw(ErrorKind::Io, "frame write failed: ",
-                       std::strerror(errno));
-        }
-        sent += static_cast<size_t>(n);
-    }
-}
-
-namespace {
-
-/** Decode a 4-byte little-endian length prefix. */
-uint32_t
-frameLength(const std::string &buffer)
-{
-    return static_cast<uint32_t>(static_cast<uint8_t>(buffer[0]))
-        | static_cast<uint32_t>(static_cast<uint8_t>(buffer[1])) << 8
-        | static_cast<uint32_t>(static_cast<uint8_t>(buffer[2])) << 16
-        | static_cast<uint32_t>(static_cast<uint8_t>(buffer[3])) << 24;
-}
-
-/**
- * Pop one complete frame out of @p buffer if present. Throws
- * DavfError{BadInput} on an oversized length prefix.
- */
-bool
-popFrame(std::string &buffer, std::string &out)
-{
-    if (buffer.size() < 4)
-        return false;
-    const uint32_t length = frameLength(buffer);
-    if (length > kMaxFrameBytes) {
-        davf_throw(ErrorKind::BadInput, "frame length ", length,
-                   " exceeds the ", kMaxFrameBytes, " byte limit");
-    }
-    if (buffer.size() < 4u + length)
-        return false;
-    out.assign(buffer, 4, length);
-    buffer.erase(0, 4u + length);
-    return true;
-}
-
-} // namespace
-
-bool
-readFrameFd(int fd, std::string &out)
-{
-    std::string buffer;
-    char chunk[4096];
-    for (;;) {
-        if (popFrame(buffer, out))
-            return true;
-        const ssize_t n = ::read(fd, chunk, sizeof chunk);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            davf_throw(ErrorKind::Io, "frame read failed: ",
-                       std::strerror(errno));
-        }
-        if (n == 0) {
-            if (buffer.empty())
-                return false;
-            davf_throw(ErrorKind::BadInput,
-                       "stream ended inside a frame (", buffer.size(),
-                       " stray bytes)");
-        }
-        buffer.append(chunk, static_cast<size_t>(n));
-    }
-}
-
 Subprocess::~Subprocess()
 {
     if (running()) {
         ::kill(childPid, SIGKILL);
         wait();
     }
-    closeFds();
 }
 
 std::string
@@ -187,34 +78,18 @@ Subprocess::selfExePath()
 }
 
 void
-Subprocess::closeFds()
-{
-    closeQuiet(toChild);
-    closeQuiet(fromChild);
-}
-
-void
 Subprocess::spawn(const std::vector<std::string> &argv,
                   const SpawnOptions &options)
 {
     davf_assert(!running(), "spawn() while a child is still running");
     davf_assert(!argv.empty(), "spawn() needs an argv[0]");
-    closeFds();
+    link.close();
     status.reset();
-    rxBuffer.clear();
 
-    int down[2]; // parent -> child (child stdin)
-    int up[2];   // child -> parent (child stdout)
-    if (::pipe2(down, O_CLOEXEC) != 0) {
-        davf_throw(ErrorKind::Io, "pipe2 failed: ",
+    int pair[2]; // [0] parent end, [1] child stdin + stdout
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, pair) != 0) {
+        davf_throw(ErrorKind::Io, "socketpair failed: ",
                    std::strerror(errno));
-    }
-    if (::pipe2(up, O_CLOEXEC) != 0) {
-        const int saved = errno;
-        ::close(down[0]);
-        ::close(down[1]);
-        davf_throw(ErrorKind::Io, "pipe2 failed: ",
-                   std::strerror(saved));
     }
 
     std::vector<char *> cargv;
@@ -226,18 +101,18 @@ Subprocess::spawn(const std::vector<std::string> &argv,
     const pid_t pid = ::fork();
     if (pid < 0) {
         const int saved = errno;
-        for (int fd : {down[0], down[1], up[0], up[1]})
-            ::close(fd);
+        ::close(pair[0]);
+        ::close(pair[1]);
         davf_throw(ErrorKind::Io, "fork failed: ",
                    std::strerror(saved));
     }
 
     if (pid == 0) {
-        // Child: pipes onto stdin/stdout (dup2 clears O_CLOEXEC), the
-        // optional address-space cap, then exec. Only async-signal-safe
-        // calls between fork and exec.
-        if (::dup2(down[0], STDIN_FILENO) < 0
-            || ::dup2(up[1], STDOUT_FILENO) < 0)
+        // Child: the socket onto stdin and stdout (dup2 clears
+        // O_CLOEXEC), the optional address-space cap, then exec. Only
+        // async-signal-safe calls between fork and exec.
+        if (::dup2(pair[1], STDIN_FILENO) < 0
+            || ::dup2(pair[1], STDOUT_FILENO) < 0)
             ::_exit(127);
         if (options.memLimitMb != 0) {
             struct rlimit limit;
@@ -249,68 +124,15 @@ Subprocess::spawn(const std::vector<std::string> &argv,
         ::_exit(127);
     }
 
-    ::close(down[0]);
-    ::close(up[1]);
+    ::close(pair[1]);
     childPid = pid;
-    toChild = down[1];
-    fromChild = up[0];
-}
-
-void
-Subprocess::sendFrame(std::string_view payload)
-{
-    davf_assert(toChild >= 0, "sendFrame() without a spawned child");
-    writeFrameFd(toChild, payload);
-}
-
-Subprocess::ReadStatus
-Subprocess::readFrame(std::string &out, double timeout_ms)
-{
-    davf_assert(fromChild >= 0, "readFrame() without a spawned child");
-    if (popFrame(rxBuffer, out))
-        return ReadStatus::Frame;
-
-    const uint64_t deadline = steadyNowMs()
-        + static_cast<uint64_t>(timeout_ms > 0.0 ? timeout_ms : 0.0);
-    char chunk[4096];
-    for (;;) {
-        const uint64_t now = steadyNowMs();
-        const int budget = now >= deadline
-            ? 0
-            : static_cast<int>(
-                  std::min<uint64_t>(deadline - now, 1u << 30));
-        struct pollfd pfd = {fromChild, POLLIN, 0};
-        const int ready = ::poll(&pfd, 1, budget);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            davf_throw(ErrorKind::Io, "poll failed: ",
-                       std::strerror(errno));
-        }
-        if (ready == 0)
-            return ReadStatus::Timeout;
-
-        const ssize_t n = ::read(fromChild, chunk, sizeof chunk);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            davf_throw(ErrorKind::Io, "frame read failed: ",
-                       std::strerror(errno));
-        }
-        if (n == 0)
-            return ReadStatus::Eof;
-        rxBuffer.append(chunk, static_cast<size_t>(n));
-        if (popFrame(rxBuffer, out))
-            return ReadStatus::Frame;
-        if (steadyNowMs() >= deadline)
-            return ReadStatus::Timeout;
-    }
+    link = FrameConn(pair[0]);
 }
 
 void
 Subprocess::closeWrite()
 {
-    closeQuiet(toChild);
+    link.shutdownWrite();
 }
 
 ExitStatus
@@ -332,7 +154,7 @@ Subprocess::wait()
         break;
     }
     status = decodeWait(wstatus, ru);
-    closeFds();
+    link.close();
     return *status;
 }
 
@@ -344,15 +166,14 @@ Subprocess::terminate(double grace_ms)
     davf_assert(childPid > 0, "terminate() without a spawned child");
 
     ::kill(childPid, SIGTERM);
-    const uint64_t deadline =
-        steadyNowMs() + static_cast<uint64_t>(grace_ms > 0 ? grace_ms : 0);
+    const double deadline = steadyNowMs() + std::max(grace_ms, 0.0);
     for (;;) {
         int wstatus = 0;
         struct rusage ru = {};
         const pid_t got = ::wait4(childPid, &wstatus, WNOHANG, &ru);
         if (got == childPid) {
             status = decodeWait(wstatus, ru);
-            closeFds();
+            link.close();
             return *status;
         }
         if (got < 0 && errno != EINTR) {

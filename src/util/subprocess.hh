@@ -2,21 +2,19 @@
  * @file
  * Child-process plumbing for the supervised campaign executor.
  *
- * A Subprocess is a fork/exec'd worker wired to the parent by two
- * pipes (parent->child on the child's stdin, child->parent on the
- * child's stdout; stderr is inherited). Messages travel as
- * **length-prefixed frames** (4-byte little-endian length + payload),
- * so a reader never sees a torn message and binary payloads are safe.
+ * A Subprocess is a fork/exec'd worker wired to the parent by one
+ * Unix socketpair: the child's end becomes both its stdin and its
+ * stdout (stderr is inherited), the parent's end is a FrameConn
+ * (util/frame_conn.hh). Messages travel as length-prefixed frames, and
+ * the parent reads them with the same deadline-bounded reader every
+ * other frame peer uses: a child that dies mid-frame is a torn frame,
+ * never a silent EOF.
  *
- * The parent side reads with a wall-clock deadline (poll(2)), decodes
- * exit status vs. termination signal, captures rusage (peak RSS, CPU
- * time) from wait4(2), and can escalate SIGTERM -> SIGKILL on a wedged
- * child. spawn() can apply an address-space rlimit in the child so a
- * leaking worker dies with std::bad_alloc instead of OOM-killing the
- * machine.
- *
- * The free functions writeFrameFd()/readFrameFd() are the child-side
- * half of the protocol, usable on plain file descriptors.
+ * The parent side decodes exit status vs. termination signal,
+ * captures rusage (peak RSS, CPU time) from wait4(2), and can escalate
+ * SIGTERM -> SIGKILL on a wedged child. spawn() can apply an
+ * address-space rlimit in the child so a leaking worker dies with
+ * std::bad_alloc instead of OOM-killing the machine.
  */
 
 #ifndef DAVF_UTIL_SUBPROCESS_HH
@@ -26,14 +24,11 @@
 
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
-namespace davf {
+#include "util/frame_conn.hh"
 
-/** Largest accepted frame payload; bigger prefixes mean a corrupt or
- *  hostile stream and are rejected with DavfError{BadInput}. */
-inline constexpr size_t kMaxFrameBytes = 64u << 20;
+namespace davf {
 
 /** How Subprocess::spawn sets the child up. */
 struct SpawnOptions
@@ -59,16 +54,6 @@ struct ExitStatus
     std::string describe() const;
 };
 
-/** Append one length-prefixed frame to @p fd (throws DavfError{Io}). */
-void writeFrameFd(int fd, std::string_view payload);
-
-/**
- * Blocking child-side frame read from @p fd. Returns false on a clean
- * EOF before any frame byte; throws DavfError{BadInput} on a torn or
- * oversized frame and DavfError{Io} on a read error.
- */
-bool readFrameFd(int fd, std::string &out);
-
 /** A supervised child process (see file comment). */
 class Subprocess
 {
@@ -86,7 +71,7 @@ class Subprocess
     /**
      * Fork/exec @p argv (argv[0] is the executable path; PATH is not
      * searched). Throws DavfError{Io} on failure. The child's stdin and
-     * stdout become the IPC pipes; stderr is inherited.
+     * stdout become its end of the socketpair; stderr is inherited.
      */
     void spawn(const std::vector<std::string> &argv,
                const SpawnOptions &options = {});
@@ -96,23 +81,10 @@ class Subprocess
 
     pid_t pid() const { return childPid; }
 
-    /** Send one frame to the child (throws DavfError{Io} if it died). */
-    void sendFrame(std::string_view payload);
+    /** The framed connection to the child (open until it is reaped). */
+    FrameConn &conn() { return link; }
 
-    enum class ReadStatus : uint8_t {
-        Frame,   ///< A complete frame was read into @c out.
-        Eof,     ///< The child closed its end (it exited or crashed).
-        Timeout, ///< No complete frame arrived before the deadline.
-    };
-
-    /**
-     * Read one frame with a wall-clock budget of @p timeout_ms
-     * (<= 0 polls once without blocking). Partial frame bytes are kept
-     * across calls, so a Timeout does not lose data.
-     */
-    ReadStatus readFrame(std::string &out, double timeout_ms);
-
-    /** Close the write end: EOF on the child's stdin. */
+    /** Half-close the connection: EOF on the child's stdin. */
     void closeWrite();
 
     /** Blocking reap; returns the decoded status (cached once reaped). */
@@ -125,12 +97,8 @@ class Subprocess
     ExitStatus terminate(double grace_ms);
 
   private:
-    void closeFds();
-
     pid_t childPid = -1;
-    int toChild = -1;
-    int fromChild = -1;
-    std::string rxBuffer; ///< Bytes read but not yet framed.
+    FrameConn link;
     std::optional<ExitStatus> status;
 };
 

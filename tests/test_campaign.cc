@@ -16,14 +16,18 @@
  *  - lenient loading of journals with a torn final line, plus a
  *    fuzz-ish corpus over the checkpoint/shard/quarantine parsers;
  *  - supervised process isolation: bit-identity with thread mode at
- *    any worker count, and crash -> retry -> bisect -> quarantine.
+ *    any worker count, crash -> retry -> bisect -> quarantine, and
+ *    exit-status classification of a worker that dies mid-frame.
  *
  * The binary re-executes itself as a campaign worker when invoked with
- * --campaign-worker (rebuilding the same fixture engine), so it has
+ * --campaign-worker (rebuilding the same fixture engine), or as a
+ * worker that dies mid-reply with --torn-worker=<abort|oom>, so it has
  * its own main() instead of linking gtest_main.
  */
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <atomic>
 #include <csignal>
@@ -959,6 +963,71 @@ TEST(Campaign, HungWorkerIsKilledByTheShardDeadline)
     std::filesystem::remove_all(qdir);
 }
 
+TEST(Supervisor, WorkerDyingMidFrameIsClassifiedByItsExitStatus)
+{
+    // A worker that dies halfway through writing its reply leaves a
+    // torn frame behind. The supervisor still classifies it from the
+    // exit status (a crash or the OOM exit code, not bad output), and
+    // the quarantine record carries the status text as its reason.
+    struct Case
+    {
+        const char *how;
+        const char *outcome;
+        const char *reason;
+    };
+    const Case cases[] = {
+        {"abort", "crash", "killed by signal 6 (Aborted)"},
+        {"oom", "oom", "exited with code 86"},
+    };
+    for (const Case &c : cases) {
+        const std::string metrics =
+            tempPath(std::string("torn_") + c.how + ".csv");
+        std::remove(metrics.c_str());
+        SupervisorOptions options;
+        options.workerArgv = {Subprocess::selfExePath(),
+                              std::string("--torn-worker=") + c.how};
+        options.maxRetries = 0;
+        options.backoffBaseMs = 1.0;
+        options.maxQuarantinePerCell = 1;
+        options.metricsCsvPath = metrics;
+        Supervisor supervisor(options);
+
+        // Every probe dies the same way, so bisection quarantines wire
+        // index 0, and the re-run exhausts the per-cell budget.
+        const Supervisor::DavfCellResult result = supervisor.runDavfCell(
+            "Rnd", 0.5, {7}, {3, 5}, SamplingConfig{}, {}, nullptr);
+        ASSERT_EQ(result.quarantined.size(), 1u) << c.how;
+        EXPECT_EQ(result.quarantined[0].wireIndex, 0u);
+        EXPECT_EQ(result.quarantined[0].reason, c.reason);
+        EXPECT_TRUE(result.failed);
+
+        const std::string csv = slurp(metrics);
+        EXPECT_NE(csv.find(std::string(",") + c.outcome + ","),
+                  std::string::npos)
+            << csv;
+        EXPECT_EQ(csv.find(",bad-output,"), std::string::npos) << csv;
+        EXPECT_EQ(csv.find(",lost,"), std::string::npos) << csv;
+        std::remove(metrics.c_str());
+    }
+}
+
+/** A worker that says hello, takes one shard, writes half a reply
+ *  frame, and dies: by SIGABRT ("abort") or the OOM exit ("oom"). */
+int
+tornWorkerMain(std::string_view how)
+{
+    writeFrameFd(STDOUT_FILENO, "hello");
+    std::string shard;
+    if (!readFrameFd(STDIN_FILENO, shard))
+        return 0;
+    const char torn[] = "\x40\x00\x00\x00ok davf 1";
+    const ssize_t n = ::write(STDOUT_FILENO, torn, sizeof(torn) - 1);
+    (void)n;
+    if (how == "oom")
+        ::_exit(kOomExitCode);
+    std::abort();
+}
+
 /** The hidden worker mode: rebuild the fixture engine and serve
  *  shards. Must match CampaignFixture exactly, or the bit-identity
  *  tests above would (correctly) fail. */
@@ -976,8 +1045,12 @@ int
 main(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
-        if (std::string_view(argv[i]) == "--campaign-worker")
+        const std::string_view arg(argv[i]);
+        if (arg == "--campaign-worker")
             return davf::campaignWorkerMain();
+        constexpr std::string_view kTorn = "--torn-worker=";
+        if (arg.rfind(kTorn, 0) == 0)
+            return davf::tornWorkerMain(arg.substr(kTorn.size()));
     }
     ::testing::InitGoogleTest(&argc, argv);
     return RUN_ALL_TESTS();

@@ -9,6 +9,8 @@
  *  - the versioned hello handshake: wrong magic/version/shape rejected,
  *    a truncation corpus over every prefix of a valid hello, workspace
  *    fingerprint mismatches refused at the coordinator;
+ *  - the shared retry backoff: capped, deterministic, and the one
+ *    both dispatchers and connectTcpRetry sleep;
  *  - the DAVF_TEST_NETFAULT grammar;
  *  - coordinator + worker end to end: bit-identity with thread mode at
  *    any node count, recovery from garbled replies, dropped replies,
@@ -25,6 +27,8 @@
 
 #include <unistd.h>
 
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -36,6 +40,7 @@
 #include <vector>
 
 #include "src/campaign/campaign.hh"
+#include "src/campaign/shard_exchange.hh"
 #include "src/core/shard.hh"
 #include "src/core/vulnerability.hh"
 #include "src/net/coordinator.hh"
@@ -134,10 +139,10 @@ struct RawSender
         ::close(listener.fd);
     }
 
-    net::FrameConn
+    FrameConn
     accept()
     {
-        return net::FrameConn(net::acceptTcp(listener.fd));
+        return FrameConn(net::acceptTcp(listener.fd));
     }
 
     void
@@ -159,9 +164,9 @@ struct RawSender
 TEST(TcpFrame, RoundTripsBinaryPayloads)
 {
     net::ListenSocket listener = net::listenTcp("127.0.0.1", 0);
-    net::FrameConn client(
+    FrameConn client(
         net::connectTcp("127.0.0.1", listener.port, 2000.0));
-    net::FrameConn server(net::acceptTcp(listener.fd));
+    FrameConn server(net::acceptTcp(listener.fd));
     ::close(listener.fd);
 
     const std::string binary{"\x00\xff\x7f\n frame", 8};
@@ -171,31 +176,31 @@ TEST(TcpFrame, RoundTripsBinaryPayloads)
 
     std::string payload;
     ASSERT_EQ(server.read(payload, 2000.0),
-              net::FrameConn::ReadStatus::Frame);
+              FrameConn::ReadStatus::Frame);
     EXPECT_EQ(payload, "hello");
     ASSERT_EQ(server.read(payload, 2000.0),
-              net::FrameConn::ReadStatus::Frame);
+              FrameConn::ReadStatus::Frame);
     EXPECT_EQ(payload, "");
     ASSERT_EQ(server.read(payload, 2000.0),
-              net::FrameConn::ReadStatus::Frame);
+              FrameConn::ReadStatus::Frame);
     EXPECT_EQ(payload, binary);
 
     // Replies flow the other way on the same connection.
     server.send("pong");
     ASSERT_EQ(client.read(payload, 2000.0),
-              net::FrameConn::ReadStatus::Frame);
+              FrameConn::ReadStatus::Frame);
     EXPECT_EQ(payload, "pong");
 
     // A clean close is EOF, not an error.
     client.close();
     EXPECT_EQ(server.read(payload, 2000.0),
-              net::FrameConn::ReadStatus::Eof);
+              FrameConn::ReadStatus::Eof);
 }
 
 TEST(TcpFrame, OversizedPrefixIsRejectedBeforeAllocating)
 {
     RawSender wire;
-    net::FrameConn victim = wire.accept();
+    FrameConn victim = wire.accept();
     // A 4 GiB length prefix: honouring it would allocate unbounded
     // attacker-controlled memory, so the reader must throw BadInput on
     // the prefix alone, before any payload arrives.
@@ -213,7 +218,7 @@ TEST(TcpFrame, OversizedPrefixIsRejectedBeforeAllocating)
 TEST(TcpFrame, TruncatedPayloadIsTornStream)
 {
     RawSender wire;
-    net::FrameConn victim = wire.accept();
+    FrameConn victim = wire.accept();
     // Announce 64 bytes, deliver 10, vanish.
     wire.raw(std::string("\x40\x00\x00\x00", 4));
     wire.raw("only10byte");
@@ -231,7 +236,7 @@ TEST(TcpFrame, TruncatedPayloadIsTornStream)
 TEST(TcpFrame, MidPrefixDisconnectIsTornStream)
 {
     RawSender wire;
-    net::FrameConn victim = wire.accept();
+    FrameConn victim = wire.accept();
     wire.raw(std::string("\x10\x00", 2)); // Half a length prefix.
     wire.closeSender();
 
@@ -247,16 +252,16 @@ TEST(TcpFrame, MidPrefixDisconnectIsTornStream)
 TEST(TcpFrame, PartialFrameSurvivesReadTimeout)
 {
     RawSender wire;
-    net::FrameConn victim = wire.accept();
+    FrameConn victim = wire.accept();
     wire.raw(std::string("\x05\x00\x00\x00", 4));
     wire.raw("he");
 
     std::string payload;
     EXPECT_EQ(victim.read(payload, 50.0),
-              net::FrameConn::ReadStatus::Timeout);
+              FrameConn::ReadStatus::Timeout);
     wire.raw("llo");
     ASSERT_EQ(victim.read(payload, 2000.0),
-              net::FrameConn::ReadStatus::Frame);
+              FrameConn::ReadStatus::Frame);
     EXPECT_EQ(payload, "hello");
 }
 
@@ -291,6 +296,67 @@ TEST(TcpFrame, ConnectToDeadPortThrowsIo)
     } catch (const DavfError &error) {
         EXPECT_EQ(error.kind(), ErrorKind::Io);
     }
+}
+
+// --------------------------------------------------------- retry backoff
+
+TEST(RetryBackoff, CappedAndDeterministic)
+{
+    // Attempt 40 would be 2^40 base units uncapped (and 1u << 40 is
+    // undefined); the doubling stops at kMaxBackoffDoublings.
+    const double cap = 50.0 * double(1u << kMaxBackoffDoublings);
+    const double late = retryBackoffMs(50.0, 40, 7, "ALU:12");
+    EXPECT_TRUE(std::isfinite(late));
+    EXPECT_GE(late, cap);
+    EXPECT_LT(late, cap + 50.0); // Jitter stays below one base unit.
+    EXPECT_EQ(retryBackoffMs(50.0, 40, 7, "ALU:12"), late);
+
+    const double first = retryBackoffMs(50.0, 0, 7, "ALU:12");
+    EXPECT_GE(first, 50.0);
+    EXPECT_LT(first, 100.0);
+    EXPECT_EQ(retryBackoffMs(0.0, 3, 7, "ALU:12"), 0.0);
+
+    // The jitter tells shards apart without any shared state.
+    bool differs = false;
+    for (int cycle = 0; cycle < 8 && !differs; ++cycle) {
+        differs = retryBackoffMs(50.0, 1, 7, "ALU:" + std::to_string(cycle))
+            != retryBackoffMs(50.0, 1, 7, "ALU:12");
+    }
+    EXPECT_TRUE(differs);
+}
+
+TEST(RetryBackoff, SharedByDispatchersAndConnectRetry)
+{
+    // Both dispatchers sleep backoffShard(); it waits retryBackoffMs()
+    // keyed by the shard, so the same (spec, attempt, seed) gives the
+    // same delay in --isolate process and --isolate net.
+    ShardSpec spec;
+    spec.structure = "ALU";
+    spec.cycle = 12;
+    EXPECT_EQ(backoffKey(spec), "ALU:12");
+    using Ms = std::chrono::duration<double, std::milli>;
+    auto elapsed_ms = [](std::chrono::steady_clock::time_point since) {
+        return Ms(std::chrono::steady_clock::now() - since).count();
+    };
+    DispatchPolicy policy;
+    policy.backoffBaseMs = 2.0;
+    policy.seed = 9;
+    static const DispatchMetrics metrics("test_backoff");
+    auto start = std::chrono::steady_clock::now();
+    backoffShard(spec, 2, policy, metrics);
+    EXPECT_GE(elapsed_ms(start), retryBackoffMs(2.0, 2, 9, "ALU:12"));
+
+    // connectTcpRetry sleeps the same function, keyed "host:port".
+    net::ListenSocket doomed = net::listenTcp("127.0.0.1", 0);
+    const uint16_t port = doomed.port;
+    ::close(doomed.fd);
+    const std::string key = "127.0.0.1:" + std::to_string(port);
+    const double connect_wait =
+        retryBackoffMs(5.0, 0, 0, key) + retryBackoffMs(5.0, 1, 0, key);
+    start = std::chrono::steady_clock::now();
+    EXPECT_THROW(net::connectTcpRetry("127.0.0.1", port, 1000.0, 2, 5.0),
+                 DavfError);
+    EXPECT_GE(elapsed_ms(start), connect_wait);
 }
 
 // ------------------------------------------------------------- handshake
@@ -643,12 +709,12 @@ TEST(NetCampaign, WrongVersionHelloIsRejected)
     NetFixture fixture;
     NetHarness harness(fixture);
 
-    net::FrameConn conn(
+    FrameConn conn(
         net::connectTcp("127.0.0.1", harness.port, 2000.0));
     conn.send("davf-net v999 hello n " + std::string(kTestFingerprint));
     std::string payload;
     ASSERT_EQ(conn.read(payload, 5000.0),
-              net::FrameConn::ReadStatus::Frame);
+              FrameConn::ReadStatus::Frame);
     std::string reason;
     const Result<bool> reply = net::parseHandshakeReply(payload, reason);
     ASSERT_TRUE(reply.ok()) << payload;
@@ -666,14 +732,14 @@ TEST(NetCampaign, ShutdownDrainsReplyRacingQuit)
     // be consumed by the shutdown drain, not misread as a node failure
     // or abandoned mid-write.
     std::thread fake([port = harness.port] {
-        net::FrameConn conn(net::connectTcp("127.0.0.1", port, 5000.0));
+        FrameConn conn(net::connectTcp("127.0.0.1", port, 5000.0));
         conn.send(net::makeHello("fake", kTestFingerprint));
         std::string payload;
         ASSERT_EQ(conn.read(payload, 5000.0),
-                  net::FrameConn::ReadStatus::Frame); // welcome
+                  FrameConn::ReadStatus::Frame); // welcome
         for (;;) {
             ASSERT_EQ(conn.read(payload, 10000.0),
-                      net::FrameConn::ReadStatus::Frame);
+                      FrameConn::ReadStatus::Frame);
             if (payload == "quit")
                 break;
         }

@@ -91,6 +91,14 @@ runChildMode(const std::string &mode)
         }
         return 0;
     }
+    if (mode == "torn") {
+        // Half a frame, then exit: a length prefix announcing 64
+        // bytes, 10 of them, and the end of the stream.
+        const char torn[] = "\x40\x00\x00\x00only10byte";
+        ssize_t n = write(STDOUT_FILENO, torn, sizeof(torn) - 1);
+        (void)n;
+        return 0;
+    }
     if (mode == "badframe") {
         // An absurd length prefix: the parent must reject it rather
         // than trying to buffer 4 GiB.
@@ -118,20 +126,20 @@ TEST(FrameProtocol, RoundTripsBinaryPayloads)
     const std::string cases[] = {
         "hello",
         "",                                // empty frame is legal
-        std::string("\0\n\r\xff binary \0", 16),
-        std::string(1u << 16, 'x'),        // bigger than one pipe buf
+        std::string("\0\n\r\xff binary \0", 13),
+        std::string(1u << 16, 'x'),        // bigger than one read chunk
     };
     std::string out;
     for (const std::string &payload : cases) {
-        child.sendFrame(payload);
-        ASSERT_EQ(child.readFrame(out, 5000.0),
-                  Subprocess::ReadStatus::Frame);
+        child.conn().send(payload);
+        ASSERT_EQ(child.conn().read(out, 5000.0),
+                  FrameConn::ReadStatus::Frame);
         EXPECT_EQ(out, payload);
     }
 
     child.closeWrite();
-    EXPECT_EQ(child.readFrame(out, 5000.0),
-              Subprocess::ReadStatus::Eof);
+    EXPECT_EQ(child.conn().read(out, 5000.0),
+              FrameConn::ReadStatus::Eof);
     ExitStatus status = child.wait();
     EXPECT_TRUE(status.exited);
     EXPECT_EQ(status.code, 0);
@@ -145,9 +153,9 @@ TEST(FrameProtocol, OversizedPrefixIsRejectedNotBuffered)
     try {
         // May need a couple of reads before the bytes arrive.
         for (int i = 0; i < 50; ++i) {
-            Subprocess::ReadStatus status =
-                child.readFrame(out, 200.0);
-            if (status == Subprocess::ReadStatus::Eof)
+            FrameConn::ReadStatus status =
+                child.conn().read(out, 200.0);
+            if (status == FrameConn::ReadStatus::Eof)
                 FAIL() << "EOF before the bogus prefix was seen";
         }
         FAIL() << "oversized frame prefix was accepted";
@@ -157,13 +165,32 @@ TEST(FrameProtocol, OversizedPrefixIsRejectedNotBuffered)
     child.terminate(200.0);
 }
 
+TEST(FrameProtocol, ChildDyingMidFrameIsATornFrame)
+{
+    // A child that dies halfway through a frame must surface as a torn
+    // frame (BadInput), never as a clean EOF that hides the lost bytes.
+    Subprocess child;
+    child.spawn(childArgv("torn"));
+    std::string out;
+    try {
+        child.conn().read(out, 5000.0);
+        FAIL() << "a torn frame was read as a clean end of stream";
+    } catch (const DavfError &error) {
+        EXPECT_EQ(error.kind(), ErrorKind::BadInput);
+    }
+    EXPECT_TRUE(child.conn().peerClosed());
+    const ExitStatus status = child.wait();
+    EXPECT_TRUE(status.exited) << status.describe();
+    EXPECT_EQ(status.code, 0) << status.describe();
+}
+
 TEST(Subprocess, DecodesExitCodes)
 {
     Subprocess child;
     child.spawn(childArgv("exit7"));
     std::string out;
-    EXPECT_EQ(child.readFrame(out, 5000.0),
-              Subprocess::ReadStatus::Eof);
+    EXPECT_EQ(child.conn().read(out, 5000.0),
+              FrameConn::ReadStatus::Eof);
     ExitStatus status = child.wait();
     EXPECT_TRUE(status.exited);
     EXPECT_FALSE(status.signaled);
@@ -176,8 +203,8 @@ TEST(Subprocess, DecodesFatalSignals)
     Subprocess child;
     child.spawn(childArgv("crash"));
     std::string out;
-    EXPECT_EQ(child.readFrame(out, 5000.0),
-              Subprocess::ReadStatus::Eof);
+    EXPECT_EQ(child.conn().read(out, 5000.0),
+              FrameConn::ReadStatus::Eof);
     ExitStatus status = child.wait();
     EXPECT_FALSE(status.exited);
     EXPECT_TRUE(status.signaled);
@@ -189,13 +216,13 @@ TEST(Subprocess, ReadDeadlineExpiresWithoutLosingTheChild)
     Subprocess child;
     child.spawn(childArgv("sleep"));
     std::string out;
-    ASSERT_EQ(child.readFrame(out, 5000.0),
-              Subprocess::ReadStatus::Frame);
+    ASSERT_EQ(child.conn().read(out, 5000.0),
+              FrameConn::ReadStatus::Frame);
     EXPECT_EQ(out, "ready");
 
     // Nothing further is coming: the deadline must fire...
-    EXPECT_EQ(child.readFrame(out, 100.0),
-              Subprocess::ReadStatus::Timeout);
+    EXPECT_EQ(child.conn().read(out, 100.0),
+              FrameConn::ReadStatus::Timeout);
     // ...and the child must still be alive and supervisable.
     EXPECT_TRUE(child.running());
     ExitStatus status = child.terminate(2000.0);
@@ -210,8 +237,8 @@ TEST(Subprocess, TerminateEscalatesToSigkill)
     std::string out;
     // Wait for "ready" so the SIGTERM handler is installed before we
     // try to terminate; otherwise the test races the child's setup.
-    ASSERT_EQ(child.readFrame(out, 5000.0),
-              Subprocess::ReadStatus::Frame);
+    ASSERT_EQ(child.conn().read(out, 5000.0),
+              FrameConn::ReadStatus::Frame);
     ASSERT_EQ(out, "ready");
 
     ExitStatus status = child.terminate(200.0);
@@ -224,8 +251,8 @@ TEST(Subprocess, CapturesRusage)
     Subprocess child;
     child.spawn(childArgv("alloc"));
     std::string out;
-    EXPECT_EQ(child.readFrame(out, 30000.0),
-              Subprocess::ReadStatus::Eof);
+    EXPECT_EQ(child.conn().read(out, 30000.0),
+              FrameConn::ReadStatus::Eof);
     ExitStatus status = child.wait();
     EXPECT_TRUE(status.exited);
     EXPECT_EQ(status.code, 0);
@@ -243,8 +270,8 @@ TEST(Subprocess, MemLimitTurnsRunawayAllocationIntoBadAlloc)
     options.memLimitMb = 48; // well under the 128 MiB the child wants
     child.spawn(childArgv("alloc"), options);
     std::string out;
-    EXPECT_EQ(child.readFrame(out, 30000.0),
-              Subprocess::ReadStatus::Eof);
+    EXPECT_EQ(child.conn().read(out, 30000.0),
+              FrameConn::ReadStatus::Eof);
     ExitStatus status = child.wait();
     EXPECT_TRUE(status.exited);
     EXPECT_EQ(status.code, 86); // the worker OOM convention
@@ -258,14 +285,14 @@ TEST(Subprocess, SendFrameToDeadChildThrowsIo)
     std::string out;
     // The child is gone (EOF) but deliberately not reaped yet: this is
     // the supervisor's position when a worker dies mid-dispatch.
-    EXPECT_EQ(child.readFrame(out, 5000.0),
-              Subprocess::ReadStatus::Eof);
+    EXPECT_EQ(child.conn().read(out, 5000.0),
+              FrameConn::ReadStatus::Eof);
     // The pipe may absorb one frame into its buffer; writing a few
     // large frames must surface EPIPE as DavfError{Io}, not SIGPIPE.
     try {
         const std::string big(1u << 20, 'y');
         for (int i = 0; i < 8; ++i)
-            child.sendFrame(big);
+            child.conn().send(big);
         FAIL() << "writes to a dead child never failed";
     } catch (const DavfError &error) {
         EXPECT_EQ(error.kind(), ErrorKind::Io);
@@ -285,15 +312,15 @@ TEST(Subprocess, QuitRacingReplyIsDrainedNotKilled)
     // and misreports a clean shutdown as a worker failure.
     Subprocess child;
     child.spawn(childArgv("reply-on-quit"));
-    child.sendFrame("quit");
+    child.conn().send("quit");
 
     std::string payload;
     size_t drained = 0;
     for (;;) {
-        const Subprocess::ReadStatus status =
-            child.readFrame(payload, 15000.0);
-        ASSERT_NE(status, Subprocess::ReadStatus::Timeout);
-        if (status != Subprocess::ReadStatus::Frame)
+        const FrameConn::ReadStatus status =
+            child.conn().read(payload, 15000.0);
+        ASSERT_NE(status, FrameConn::ReadStatus::Timeout);
+        if (status != FrameConn::ReadStatus::Frame)
             break;
         ++drained;
         EXPECT_EQ(payload, std::string(2u << 20, 'r'));

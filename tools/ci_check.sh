@@ -165,40 +165,6 @@ tsim_smoke() {
     echo "=== tsim smoke ok (reports bit-identical)" >&2
 }
 
-# Timed-simulator speedup artifact: the Step-1 counterpart of
-# groupace_bench, Release config only. perf_engine exits non-zero if
-# the lane-parallel sweep's report is not byte-identical to the
-# scalar, sweep-blind one.
-tsim_bench() {
-    build_dir="$1"
-    echo "=== tsim bench $build_dir" >&2
-    DAVF_BENCH_TSIM_JSON="$root/BENCH_tsim.json" \
-        "$build_dir/bench/perf_engine" \
-        --benchmark_filter=TsimAluSweep
-    if [ ! -s "$root/BENCH_tsim.json" ]; then
-        echo "tsim bench: BENCH_tsim.json not written" >&2
-        exit 1
-    fi
-    echo "=== tsim bench ok" >&2
-}
-
-# GroupACE speedup artifact: run the end-to-end ALU sweep benchmark in
-# the Release config only (sanitizer timings are meaningless) and keep
-# the measured scalar-vs-vector speedup at the repo root. perf_engine
-# exits non-zero if the two sweeps' reports are not byte-identical.
-groupace_bench() {
-    build_dir="$1"
-    echo "=== groupace bench $build_dir" >&2
-    DAVF_BENCH_JSON="$root/BENCH_groupace.json" \
-        "$build_dir/bench/perf_engine" \
-        --benchmark_filter=GroupAceAluSweep
-    if [ ! -s "$root/BENCH_groupace.json" ]; then
-        echo "groupace bench: BENCH_groupace.json not written" >&2
-        exit 1
-    fi
-    echo "=== groupace bench ok" >&2
-}
-
 # Serve smoke: start davf_serve with a persistent store, issue the
 # same query twice and then from two concurrent clients, and require
 # (a) every reply byte-identical, (b) the reply byte-identical to a
@@ -821,8 +787,6 @@ store_index_smoke "$root/build-ci-release"
 net_smoke "$root/build-ci-release"
 attr_smoke "$root/build-ci-release"
 crash_soak "$root/build-ci-release"
-groupace_bench "$root/build-ci-release"
-tsim_bench "$root/build-ci-release"
 run_config "$root/build-ci-asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDAVF_SANITIZE=address,undefined
 isolation_smoke "$root/build-ci-asan"

@@ -54,10 +54,10 @@
 #include <thread>
 
 #include "service/protocol.hh"
+#include "util/frame_conn.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
-#include "util/subprocess.hh"
 
 using namespace davf;
 using namespace davf::service;
