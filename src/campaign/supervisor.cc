@@ -255,8 +255,10 @@ Supervisor::ensureWorker(Slot &slot)
     slot.proc->spawn(options.workerArgv, spawn);
     supervisorMetrics().workersSpawned.add(1);
 
-    // The hello covers the worker's whole engine build (golden run
-    // included), so it gets its own generous budget.
+    // The hello covers the worker's whole engine build, golden capture
+    // included. That capture fans its timed replays out over every
+    // core, so workers spawned together contend for the machine; the
+    // hello therefore gets its own generous budget.
     std::string frame;
     FrameConn::ReadStatus st;
     try {

@@ -74,6 +74,13 @@ CycleWaveforms::sortEvents()
 TimedSimulator::TimedSimulator(const DelayModel &delay_model)
     : delays(&delay_model), nl(&delay_model.netlist())
 {
+    pinBase.reserve(nl->numCells() + 1);
+    uint32_t base = 0;
+    for (CellId id = 0; id < nl->numCells(); ++id) {
+        pinBase.push_back(base);
+        base += static_cast<uint32_t>(nl->cell(id).inputs.size());
+    }
+    pinBase.push_back(base);
 }
 
 void
@@ -87,15 +94,19 @@ TimedSimulator::simulateCycle(const std::vector<uint8_t> &pre_edge,
                 "net value vector size mismatch");
 
     out.preEdge = pre_edge;
-    out.netEvents.assign(netlist.numNets(), {});
+    // Clear in place: a reused buffer keeps every list's capacity.
+    out.netEvents.resize(netlist.numNets());
+    for (std::vector<NetEvent> &events : out.netEvents)
+        events.clear();
 
-    // Per-pin current values and per-net last scheduled waveform value.
-    std::vector<std::vector<uint8_t>> pin_vals(netlist.numCells());
+    // Per-pin current values (flat, see pinBase) and per-net last
+    // scheduled waveform value.
+    std::vector<uint8_t> pin_vals(pinBase.back());
     for (CellId id = 0; id < netlist.numCells(); ++id) {
         const Cell &cell = netlist.cell(id);
-        pin_vals[id].resize(cell.inputs.size());
+        uint8_t *pins = pin_vals.data() + pinBase[id];
         for (size_t pin = 0; pin < cell.inputs.size(); ++pin)
-            pin_vals[id][pin] = pre_edge[cell.inputs[pin]];
+            pins[pin] = pre_edge[cell.inputs[pin]];
     }
     std::vector<uint8_t> sched = pre_edge;
 
@@ -130,12 +141,12 @@ TimedSimulator::simulateCycle(const std::vector<uint8_t> &pre_edge,
     while (!queue.empty()) {
         const PinEvent event = queue.top();
         queue.pop();
-        pin_vals[event.cell][event.pin] = event.value ? 1 : 0;
+        uint8_t *pins = pin_vals.data() + pinBase[event.cell];
+        pins[event.pin] = event.value ? 1 : 0;
         const Cell &cell = netlist.cell(event.cell);
         if (!cellIsCombinational(cell.type))
             continue; // Endpoint pins just record their waveform (below).
-        const bool new_out =
-            evalFromPins(cell.type, pin_vals[event.cell].data());
+        const bool new_out = evalFromPins(cell.type, pins);
         const NetId out_net = cell.outputs[0];
         if ((sched[out_net] != 0) == new_out)
             continue;
@@ -192,15 +203,15 @@ TimedSimulator::simulateCone(const CycleWaveforms &golden, WireId injected,
     EventQueue queue;
     uint64_t sequence = 0;
 
-    // Per-pin current values for cone cells; per-net scheduled values for
-    // cone outputs.
-    std::vector<std::vector<uint8_t>> pin_vals(netlist.numCells());
+    // Per-pin current values for cone cells (flat, see pinBase); per-net
+    // scheduled values for cone outputs.
+    std::vector<uint8_t> pin_vals(pinBase.back());
     std::vector<uint8_t> sched = golden.preEdge;
     for (CellId id : cone_cells) {
         const Cell &cell = netlist.cell(id);
-        pin_vals[id].resize(cell.inputs.size());
+        uint8_t *pins = pin_vals.data() + pinBase[id];
         for (size_t pin = 0; pin < cell.inputs.size(); ++pin)
-            pin_vals[id][pin] = golden.preEdge[cell.inputs[pin]];
+            pins[pin] = golden.preEdge[cell.inputs[pin]];
     }
 
     // Replay a golden waveform into one sink pin, shifted by wire delay.
@@ -266,9 +277,9 @@ TimedSimulator::simulateCone(const CycleWaveforms &golden, WireId injected,
                 event.value ? 1 : 0;
             continue;
         }
-        pin_vals[event.cell][event.pin] = event.value ? 1 : 0;
-        const bool new_out =
-            evalFromPins(cell.type, pin_vals[event.cell].data());
+        uint8_t *pins = pin_vals.data() + pinBase[event.cell];
+        pins[event.pin] = event.value ? 1 : 0;
+        const bool new_out = evalFromPins(cell.type, pins);
         const NetId out_net = cell.outputs[0];
         if ((sched[out_net] != 0) == new_out)
             continue;

@@ -112,6 +112,10 @@ class TimedSimulator
   private:
     const DelayModel *delays;
     const Netlist *nl;
+
+    /** Flat per-pin scratch layout: cell c's input pins occupy
+     *  [pinBase[c], pinBase[c + 1]); size numCells + 1. */
+    std::vector<uint32_t> pinBase;
 };
 
 /**

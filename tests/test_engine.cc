@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "src/builder/ecc.hh"
@@ -25,6 +26,8 @@
 #include "src/obs/trace.hh"
 #include "src/soc/ibex_mini.hh"
 #include "src/soc/soc_workload.hh"
+#include "src/timing/sta.hh"
+#include "src/tsim/timed_sim.hh"
 #include "src/isa/assembler.hh"
 #include "src/isa/benchmarks.hh"
 #include "src/util/rng.hh"
@@ -1390,6 +1393,136 @@ TEST(Engine, GoldenFactsOnIbexMini)
     EXPECT_GT(engine.goldenCycles(), 100u);
     EXPECT_EQ(engine.goldenOutput(), program.expectedOutput);
 }
+
+/**
+ * @name Parallel golden capture
+ *
+ * The observed-period capture replays the golden cycles timed in
+ * parallel chunks. Its maximum must equal, bit for bit, the one a
+ * serial replay of every cycle finds.
+ */
+/// @{
+
+/** Test-local serial reference: one fresh timed replay per golden
+ *  cycle, in order, and the latest endpoint arrival of any of them. */
+double
+serialObservedMax(const Netlist &nl, const Workload &workload)
+{
+    DelayModel delays(nl, CellLibrary::defaultLibrary());
+    const Sta sta(delays);
+    const TimedSimulator tsim(delays);
+    CycleSimulator sim(nl);
+    double worst = 0.0;
+    while (!workload.done(sim)) {
+        const std::vector<uint8_t> pre_edge = sim.netValues_();
+        sim.step();
+        CycleWaveforms wf;
+        tsim.simulateCycle(pre_edge, sim.netValues_(), sta.maxPath(), wf);
+        for (CellId id = 0; id < nl.numCells(); ++id) {
+            const Cell &cell = nl.cell(id);
+            if (cell.type != CellType::Dff && cell.type != CellType::Dffe
+                && cell.type != CellType::Behav
+                && cell.type != CellType::Output)
+                continue;
+            for (uint16_t pin = 0; pin < cell.inputs.size(); ++pin) {
+                const auto &events = wf.netEvents[cell.inputs[pin]];
+                if (!events.empty())
+                    worst = std::max(worst,
+                                     events.back().time
+                                         + delays.wireDelay(
+                                             nl.inputWire(id, pin)));
+            }
+        }
+    }
+    return worst;
+}
+
+EngineOptions
+observedPeriodOptions()
+{
+    EngineOptions options;
+    options.periodMode = EngineOptions::PeriodMode::ObservedMaxPlusMargin;
+    return options;
+}
+
+TEST(GoldenCapture, ParallelReplayMatchesSerialReference)
+{
+    constexpr uint64_t k = VulnerabilityEngine::kGoldenChunkCycles;
+    // Shorter than one chunk, an exact multiple of the chunk, one past.
+    const uint64_t lengths[] = {40, 2 * k, k + 1};
+    uint64_t seed = 700;
+    for (uint64_t length : lengths) {
+        const auto circuit =
+            test::makeRandomCircuit(seed++, 10, 70, length);
+        const EngineOptions options = observedPeriodOptions();
+        const VulnerabilityEngine engine(*circuit.netlist,
+                                         CellLibrary::defaultLibrary(),
+                                         *circuit.workload, options);
+        ASSERT_EQ(engine.goldenCycles(), length);
+        const double reference =
+            serialObservedMax(*circuit.netlist, *circuit.workload);
+        EXPECT_GT(reference, 0.0);
+        EXPECT_EQ(engine.observedMaxArrival(), reference)
+            << "golden length " << length;
+        EXPECT_EQ(engine.clockPeriod(),
+                  reference * (1.0 + options.periodMargin))
+            << "golden length " << length;
+
+        // The functional facts do not depend on the period mode.
+        const VulnerabilityEngine sta_engine(
+            *circuit.netlist, CellLibrary::defaultLibrary(),
+            *circuit.workload);
+        EXPECT_EQ(engine.goldenCycles(), sta_engine.goldenCycles());
+        EXPECT_EQ(engine.goldenOutput(), sta_engine.goldenOutput());
+    }
+
+    // The benchmark workload: many chunks, a known 1133 ps maximum.
+    const BenchmarkProgram &program = beebsBenchmark("popcount");
+    IbexMini soc({}, assemble(program.source));
+    SocWorkload workload(soc);
+    const EngineOptions options = observedPeriodOptions();
+    const VulnerabilityEngine engine(soc.netlist(),
+                                     CellLibrary::defaultLibrary(),
+                                     workload, options);
+    EXPECT_GT(engine.goldenCycles(), 4 * k);
+    EXPECT_EQ(engine.goldenOutput(), program.expectedOutput);
+    EXPECT_EQ(engine.observedMaxArrival(),
+              serialObservedMax(soc.netlist(), workload));
+    EXPECT_EQ(engine.observedMaxArrival(), 0x1.1b4p+10);
+    EXPECT_EQ(engine.clockPeriod(),
+              0x1.1b4p+10 * (1.0 + options.periodMargin));
+    EXPECT_NEAR(engine.clockPeriod(), 1155.7, 0.05);
+}
+
+TEST(GoldenCapture, ReplayCounterCountsTimedReplays)
+{
+    // engine.golden_replay_cycles: one timed replay per golden cycle
+    // when the period is observed, none under the STA period.
+    const auto circuit = test::makeRandomCircuit(710, 10, 70, 150);
+    auto replaysOf = [&](const EngineOptions &options,
+                         uint64_t &golden_cycles) {
+        obs::MetricsRegistry::instance().reset();
+        obs::MetricsRegistry::setEnabled(true);
+        const VulnerabilityEngine engine(*circuit.netlist,
+                                         CellLibrary::defaultLibrary(),
+                                         *circuit.workload, options);
+        obs::MetricsRegistry::setEnabled(false);
+        golden_cycles = engine.goldenCycles();
+        const uint64_t replays = obs::MetricsRegistry::instance()
+                                     .snapshot()
+                                     .counters.at(
+                                         "engine.golden_replay_cycles");
+        obs::MetricsRegistry::instance().reset();
+        return replays;
+    };
+    uint64_t golden_cycles = 0;
+    EXPECT_EQ(replaysOf(observedPeriodOptions(), golden_cycles),
+              golden_cycles);
+    EXPECT_EQ(golden_cycles, 150u);
+    EXPECT_EQ(replaysOf({}, golden_cycles), 0u);
+}
+
+/// @}
 
 } // namespace
 } // namespace davf

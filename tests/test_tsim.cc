@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/builder/builder.hh"
 #include "src/sim/cycle_sim.hh"
 #include "src/tsim/timed_sim.hh"
@@ -101,6 +103,58 @@ TEST(TimedSim, EventsRespectStaArrivalBound)
                 << "net " << nl.net(net).name;
         }
     }
+}
+
+TEST(TimedSim, ReusedWaveformsMatchFresh)
+{
+    // simulateCycle clears a reused buffer in place (keeping each
+    // list's capacity). Its events must equal a fresh buffer's, event
+    // for event, with nothing left over from the cycle that filled it
+    // before, and the sorted-waveform invariant must still hold.
+    const auto earlier = [](const NetEvent &a, const NetEvent &b) {
+        return a.time < b.time;
+    };
+    size_t stale_nets = 0; // Nets busy before, quiet now: stale risk.
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+        const auto circuit = test::makeRandomCircuit(seed + 60, 12, 90);
+        const Netlist &nl = *circuit.netlist;
+        DelayModel delays(nl, CellLibrary::defaultLibrary());
+        Sta sta(delays);
+        TimedSimulator tsim(delays);
+        const double period = sta.maxPath();
+
+        CycleWaveforms reused;
+        for (uint64_t cycle : {5, 1, 7, 2, 3}) {
+            const CyclePrep prep = prepCycle(nl, cycle);
+            std::vector<size_t> before(nl.numNets(), 0);
+            for (NetId net = 0; net < reused.netEvents.size(); ++net)
+                before[net] = reused.netEvents[net].size();
+            tsim.simulateCycle(prep.preEdge, prep.postEdge, period,
+                               reused);
+            CycleWaveforms fresh;
+            tsim.simulateCycle(prep.preEdge, prep.postEdge, period,
+                               fresh);
+
+            EXPECT_EQ(reused.preEdge, fresh.preEdge);
+            ASSERT_EQ(reused.netEvents.size(), fresh.netEvents.size());
+            for (NetId net = 0; net < nl.numNets(); ++net) {
+                const auto &got = reused.netEvents[net];
+                const auto &want = fresh.netEvents[net];
+                if (before[net] > 0 && want.empty())
+                    ++stale_nets;
+                ASSERT_EQ(got.size(), want.size())
+                    << "seed " << seed << " cycle " << cycle << " net "
+                    << nl.net(net).name;
+                for (size_t i = 0; i < got.size(); ++i) {
+                    EXPECT_EQ(got[i].time, want[i].time);
+                    EXPECT_EQ(got[i].value, want[i].value);
+                }
+                EXPECT_TRUE(
+                    std::is_sorted(got.begin(), got.end(), earlier));
+            }
+        }
+    }
+    EXPECT_GT(stale_nets, 0u);
 }
 
 TEST(TimedSim, WaveformEndsAtSettledValue)

@@ -127,6 +127,17 @@ obs_smoke() {
         echo "obs smoke: no engine.cycle spans in trace" >&2
         exit 1
     fi
+    # The observed-period golden capture replays every golden cycle.
+    if ! grep -q '"engine.golden_replay_cycles":[1-9]' \
+        "$smoke_dir/metrics.json"; then
+        echo "obs smoke: no golden replays counted in snapshot" >&2
+        exit 1
+    fi
+    if ! grep -q '"name":"engine.golden_capture"' \
+        "$smoke_dir/trace.json"; then
+        echo "obs smoke: no engine.golden_capture span in trace" >&2
+        exit 1
+    fi
     echo "=== obs smoke ok (report bit-identical, JSON valid)" >&2
 }
 
