@@ -261,6 +261,8 @@ Campaign::run()
     // the engine can reuse per-cycle golden context and verdicts across
     // adjacent delay values (docs/PERFORMANCE.md). Bit-identical by
     // construction; the guard keeps the caches from outliving the run.
+    // Process and net workers get the list in every cycle shard and
+    // keep their own sweep (serveShards).
     engine->beginDelaySweep(options.delays);
     struct SweepGuard {
         VulnerabilityEngine *engine;
@@ -408,7 +410,7 @@ Campaign::run()
                     ShardDispatcher::CellResult shard =
                         options.dispatcher->runDavfCell(
                             planned.key.structure, planned.delay, todo,
-                            config, progress.onCycleDone);
+                            config, progress.onCycleDone, options.delays);
                     shard_failed = shard.failed;
                     shard_fail_reason = std::move(shard.failReason);
                     shard_stopped = shard.stopped;
@@ -421,7 +423,7 @@ Campaign::run()
                         supervisor->runDavfCell(
                             planned.key.structure, planned.delay, todo,
                             wires, config, knownQuarantine,
-                            progress.onCycleDone);
+                            progress.onCycleDone, options.delays);
                     for (QuarantineRecord &record : shard.quarantined) {
                         knownQuarantine.push_back(record);
                         summary.quarantined.push_back(std::move(record));

@@ -86,14 +86,17 @@ class ShardDispatcher
     /**
      * Compute the given injection cycles of one (structure, delay)
      * cell across the fleet. Every completed outcome is delivered
-     * through @p on_cycle_done (serialized; any thread).
+     * through @p on_cycle_done (serialized; any thread). @p sweep is
+     * the campaign's delay list, shipped in every cycle shard so the
+     * nodes reuse cross-delay work (empty = no sweep).
      */
     virtual CellResult runDavfCell(
         const std::string &structure, double delay_fraction,
         const std::vector<uint64_t> &cycles,
         const SamplingConfig &sampling,
         const std::function<void(const InjectionCycleOutcome &)>
-            &on_cycle_done) = 0;
+            &on_cycle_done,
+        const std::vector<double> &sweep) = 0;
 
     /** Compute one sAVF cell on the fleet; @p out on success. */
     virtual CellResult runSavfCell(const std::string &structure,

@@ -8,8 +8,10 @@
 #include <chrono>
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "campaign/checkpoint.hh"
 #include "obs/trace.hh"
@@ -122,6 +124,24 @@ computeReply(VulnerabilityEngine &engine, const Structure &structure,
     } catch (const std::exception &error) {
         return std::string("err exception ") + error.what();
     }
+}
+
+/**
+ * True when @p a and @p b may share one engine delay sweep: the same
+ * delay list under the same serialized sampling fields.
+ */
+bool
+sameSweep(const ShardSpec &a, const ShardSpec &b)
+{
+    const SamplingConfig &x = a.sampling;
+    const SamplingConfig &y = b.sampling;
+    return a.sweep == b.sweep
+        && std::tie(x.cycleFraction, x.maxInjectionCycles, x.maxWires,
+                    x.maxFlops, x.seed, x.watchdogSlack,
+                    x.injectionTimeoutMs, x.maxFailureRate, x.attribution)
+        == std::tie(y.cycleFraction, y.maxInjectionCycles, y.maxWires,
+                    y.maxFlops, y.seed, y.watchdogSlack,
+                    y.injectionTimeoutMs, y.maxFailureRate, y.attribution);
 }
 
 } // namespace
@@ -332,6 +352,26 @@ serveShards(VulnerabilityEngine &engine, const StructureRegistry &registry,
         conn.send(payload);
     };
 
+    // Cross-delay reuse, as thread mode has it: cycle shards carrying
+    // the campaign's sweep run inside one engine delay sweep, restarted
+    // whenever the sweep or the sampling changes, and ended on exit.
+    std::optional<ShardSpec> sweep_of; // The shard that began the sweep.
+    struct SweepGuard {
+        VulnerabilityEngine &engine;
+        ~SweepGuard() { engine.endDelaySweep(); }
+    } sweep_guard{engine};
+    auto enter_sweep = [&](const ShardSpec &spec) {
+        if (spec.kind != ShardSpec::Kind::Cycle
+            || (sweep_of && sameSweep(*sweep_of, spec)))
+            return;
+        engine.endDelaySweep();
+        sweep_of.reset();
+        if (!spec.sweep.empty()) {
+            engine.beginDelaySweep(spec.sweep);
+            sweep_of = spec;
+        }
+    };
+
     std::string frame;
     for (;;) {
         const FrameConn::ReadStatus st = conn.read(frame, kIdlePollMs);
@@ -360,6 +400,7 @@ serveShards(VulnerabilityEngine &engine, const StructureRegistry &registry,
         if (hooks.beforeShard && !hooks.beforeShard(spec))
             return ServeEnd::Abandoned;
 
+        enter_sweep(spec);
         std::string reply =
             computeReply(engine, *structure, spec, conn, write_mutex);
         if (hooks.beforeReply && !hooks.beforeReply(reply))

@@ -198,7 +198,12 @@ enum class ServeEnd : uint8_t {
  * times threads); "hb" every 200 ms while computing; the reply is
  * "ok davf|savf <journal fields> rss <kb> <user> <sys>" or
  * "err <kind> <message>". std::bad_alloc exits the process with
- * kOomExitCode. Throws DavfError if the connection itself fails.
+ * kOomExitCode. Cycle shards that carry a sweep (ShardSpec::sweep) run
+ * inside an engine delay sweep (VulnerabilityEngine::beginDelaySweep),
+ * begun afresh whenever the sweep list or the sampling fields differ
+ * from the previous cycle shard's; shards without one run with none;
+ * the sweep ends when the loop returns. Throws DavfError if the
+ * connection itself fails.
  */
 ServeEnd serveShards(VulnerabilityEngine &engine,
                      const StructureRegistry &registry, FrameConn &conn,

@@ -193,6 +193,7 @@ loadQuarantineRecords(const std::string &dir)
 
 struct Supervisor::Slot
 {
+    unsigned index = 0; ///< Position in the pool (the CSV's worker).
     std::unique_ptr<Subprocess> proc;
     bool ready = false; ///< The worker said hello and is idle.
 };
@@ -200,7 +201,6 @@ struct Supervisor::Slot
 struct Supervisor::CellState
 {
     std::mutex mutex;
-    size_t next = 0; ///< Next undispatched job index (under mutex).
     std::vector<QuarantineRecord> quarantined;
     bool failed = false;
     std::string failReason;
@@ -217,8 +217,10 @@ Supervisor::Supervisor(SupervisorOptions the_options)
     // A dead worker surfaces as EPIPE on write, not a process-fatal
     // SIGPIPE.
     ::signal(SIGPIPE, SIG_IGN);
-    for (unsigned i = 0; i < options.workers; ++i)
+    for (unsigned i = 0; i < options.workers; ++i) {
         slots.push_back(std::make_unique<Slot>());
+        slots.back()->index = i;
+    }
 }
 
 Supervisor::~Supervisor()
@@ -318,8 +320,8 @@ Supervisor::dispatchOnce(Slot &slot, const ShardSpec &spec)
 }
 
 void
-Supervisor::recordMetrics(const ShardSpec &spec, unsigned attempt,
-                          const Attempt &outcome)
+Supervisor::recordMetrics(const Slot &slot, const ShardSpec &spec,
+                          unsigned attempt, const Attempt &outcome)
 {
     obs::Counter(std::string("supervisor.outcome.") + outcome.outcomeName())
         .add(1);
@@ -332,7 +334,7 @@ Supervisor::recordMetrics(const ShardSpec &spec, unsigned attempt,
         return;
     if (fresh) {
         file << "structure,kind,cycle,wire_begin,wire_end,attempt,"
-                "outcome,wall_ms,max_rss_kb,user_s,sys_s\n";
+                "outcome,wall_ms,max_rss_kb,user_s,sys_s,worker\n";
     }
     char wall[32], user[32], sys[32];
     std::snprintf(wall, sizeof wall, "%.3f", outcome.wallMs);
@@ -345,7 +347,7 @@ Supervisor::recordMetrics(const ShardSpec &spec, unsigned attempt,
                                       : std::to_string(spec.wireEnd))
          << ',' << attempt << ',' << outcome.outcomeName() << ','
          << wall << ',' << outcome.rssKb << ',' << user << ',' << sys
-         << '\n';
+         << ',' << slot.index << '\n';
 }
 
 Supervisor::Attempt
@@ -359,7 +361,7 @@ Supervisor::dispatchWithRetries(Slot &slot, const ShardSpec &spec)
             return attempt;
         }
         attempt = dispatchOnce(slot, spec);
-        recordMetrics(spec, n, attempt);
+        recordMetrics(slot, spec, n, attempt);
         if (!attempt.retryable() || n >= options.maxRetries)
             return attempt;
         supervisorMetrics().retries.add(1);
@@ -386,7 +388,7 @@ Supervisor::bisectAndQuarantine(Slot &slot, ShardSpec spec,
         probe.wireEnd = end;
         supervisorMetrics().bisectProbes.add(1);
         last = dispatchOnce(slot, probe);
-        recordMetrics(probe, 0, last);
+        recordMetrics(slot, probe, 0, last);
         return last.retryable();
     };
 
@@ -485,7 +487,8 @@ Supervisor::runDavfCell(
     const SamplingConfig &sampling,
     const std::vector<QuarantineRecord> &prior,
     const std::function<void(const InjectionCycleOutcome &)>
-        &on_cycle_done)
+        &on_cycle_done,
+    const std::vector<double> &sweep)
 {
     DavfCellResult result;
     if (cycles.empty())
@@ -506,16 +509,19 @@ Supervisor::runDavfCell(
     for (std::vector<size_t> &list : exclusions)
         std::sort(list.begin(), list.end());
 
+    // Strict ownership: job j runs on slot j mod pool, so a worker sees
+    // every delay of the cycles it owns and its sweep caches hit as
+    // thread mode's do. An idle slot never steals another's job: that
+    // would split a cycle's delays over two workers.
+    const size_t pool =
+        std::min<size_t>(options.workers, cycles.size());
     CellState cell;
     auto drain = [&](Slot &slot) {
-        for (;;) {
-            size_t job;
+        for (size_t job = slot.index; job < cycles.size(); job += pool) {
             {
                 const std::lock_guard<std::mutex> lock(cell.mutex);
-                if (cell.failed || cell.stopped
-                    || cell.next >= cycles.size())
+                if (cell.failed || cell.stopped)
                     return;
-                job = cell.next++;
             }
             if (options.stopRequested()) {
                 const std::lock_guard<std::mutex> lock(cell.mutex);
@@ -530,6 +536,7 @@ Supervisor::runDavfCell(
             spec.cycle = cycles[job];
             spec.quarantined = exclusions[job];
             spec.sampling = sampling;
+            spec.sweep = sweep;
 
             Attempt attempt = dispatchWithRetries(slot, spec);
             if (attempt.retryable())
@@ -551,8 +558,6 @@ Supervisor::runDavfCell(
         }
     };
 
-    const size_t pool =
-        std::min<size_t>(options.workers, cycles.size());
     std::vector<std::thread> threads;
     threads.reserve(pool);
     for (size_t i = 1; i < pool; ++i)

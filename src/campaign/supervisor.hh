@@ -142,7 +142,11 @@ class Supervisor
      * (engine->sampledWires), used to resolve quarantine indices;
      * @p prior holds already-known quarantine records to exclude.
      * Every completed outcome is delivered through @p on_cycle_done
-     * (serialized, from dispatcher threads).
+     * (serialized, from dispatcher threads). @p sweep is the campaign's
+     * delay list, shipped in every cycle shard so workers reuse
+     * cross-delay work (empty = no sweep). Cycle index j of @p cycles
+     * always goes to worker slot j mod pool, so each worker sees every
+     * delay of the cycles it owns; nothing is stolen.
      */
     DavfCellResult runDavfCell(
         const std::string &structure, double delay_fraction,
@@ -150,7 +154,8 @@ class Supervisor
         const std::vector<WireId> &wires, const SamplingConfig &sampling,
         const std::vector<QuarantineRecord> &prior,
         const std::function<void(const InjectionCycleOutcome &)>
-            &on_cycle_done);
+            &on_cycle_done,
+        const std::vector<double> &sweep = {});
 
     /** Outcome of one sAVF cell run under supervision. */
     struct SavfCellResult
@@ -178,8 +183,8 @@ class Supervisor
     ExitStatus retireWorker(Slot &slot, double grace_ms);
     Attempt dispatchOnce(Slot &slot, const ShardSpec &spec);
     Attempt dispatchWithRetries(Slot &slot, const ShardSpec &spec);
-    void recordMetrics(const ShardSpec &spec, unsigned attempt,
-                       const Attempt &outcome);
+    void recordMetrics(const Slot &slot, const ShardSpec &spec,
+                       unsigned attempt, const Attempt &outcome);
 
     /**
      * Narrow a persistently failing cycle shard to single offending

@@ -50,11 +50,16 @@ serializeShardSpec(const ShardSpec &spec)
        << sampling.watchdogSlack << ' '
        << hexDouble(sampling.injectionTimeoutMs) << ' '
        << hexDouble(sampling.maxFailureRate);
-    // Append-only extension, written only when set: attribution-off
-    // specs — and thus store keys and worker frames — stay byte-equal
-    // to releases that predate the flag.
+    // Append-only extensions, each written only when set: specs without
+    // them — and thus store keys and worker frames — stay byte-equal to
+    // releases that predate them.
     if (sampling.attribution)
         os << " attr";
+    if (!spec.sweep.empty()) {
+        os << " sweep " << spec.sweep.size();
+        for (double d : spec.sweep)
+            os << ' ' << hexDouble(d);
+    }
     return os.str();
 }
 
@@ -102,16 +107,29 @@ parseShardSpec(const std::string &text)
         return R::Err(ErrorKind::BadInput,
                       "shard spec: bad sampling fields: " + text);
     }
+    // The extensions, in their serialized order, each at most once.
     std::string extension;
-    if (is >> extension) {
-        if (extension != "attr")
-            return R::Err(ErrorKind::BadInput,
-                          "shard spec: trailing tokens: " + text);
+    bool have = static_cast<bool>(is >> extension);
+    if (have && extension == "attr") {
         sampling.attribution = true;
-        if (is >> extension)
-            return R::Err(ErrorKind::BadInput,
-                          "shard spec: trailing tokens: " + text);
+        have = static_cast<bool>(is >> extension);
     }
+    if (have && extension == "sweep") {
+        size_t count = 0;
+        if (!(is >> count) || count == 0 || count > 1u << 16)
+            return R::Err(ErrorKind::BadInput,
+                          "shard spec: bad sweep length: " + text);
+        spec.sweep.resize(count);
+        for (double &d : spec.sweep) {
+            if (!readDouble(is, d))
+                return R::Err(ErrorKind::BadInput,
+                              "shard spec: bad sweep delay: " + text);
+        }
+        have = static_cast<bool>(is >> extension);
+    }
+    if (have)
+        return R::Err(ErrorKind::BadInput,
+                      "shard spec: trailing tokens: " + text);
     return R::Ok(std::move(spec));
 }
 

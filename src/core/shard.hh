@@ -54,6 +54,15 @@ struct ShardSpec
 
     /** Engine sampling knobs (threads/stopFlag are not serialized). */
     SamplingConfig sampling;
+
+    /**
+     * The campaign's whole delay sweep (cycle shards; empty = none): a
+     * worker hands it to beginDelaySweep() so consecutive shards of one
+     * cycle reuse the engine's cross-delay caches. A speed hint only —
+     * results are identical with or without it, so store keys leave it
+     * out (service::shardStoreKey).
+     */
+    std::vector<double> sweep;
 };
 
 /** One-line text form of @p spec. */

@@ -259,6 +259,30 @@ Coordinator::computeLocally(CellCtx &ctx, Job &job)
     finishJob(ctx, job);
 }
 
+bool
+Coordinator::takeOwnedJob(const Node &node, CellCtx &ctx, size_t &index)
+{
+    size_t rank = 0;
+    size_t live = 0;
+    {
+        const std::lock_guard<std::mutex> lock(fleetMutex);
+        const auto it = std::find_if(
+            fleet.begin(), fleet.end(),
+            [&](const std::shared_ptr<Node> &n) { return n.get() == &node; });
+        if (it == fleet.end())
+            return false; // Retired: it owns nothing any more.
+        rank = static_cast<size_t>(it - fleet.begin());
+        live = fleet.size();
+    }
+    const auto job = std::find_if(ctx.queue.begin(), ctx.queue.end(),
+                                  [&](size_t j) { return j % live == rank; });
+    if (job == ctx.queue.end())
+        return false;
+    index = *job;
+    ctx.queue.erase(job);
+    return true;
+}
+
 void
 Coordinator::drainNode(const std::shared_ptr<Node> &node, CellCtx &ctx)
 {
@@ -282,15 +306,16 @@ Coordinator::drainNode(const std::shared_ptr<Node> &node, CellCtx &ctx)
         size_t index = 0;
         {
             std::unique_lock<std::mutex> lock(ctx.mutex);
+            bool took = false;
             ctx.cv.wait(lock, [&] {
-                return !ctx.queue.empty() || ctx.finished()
-                    || node->dead.load(std::memory_order_relaxed);
+                if (ctx.finished()
+                    || node->dead.load(std::memory_order_relaxed))
+                    return true;
+                took = takeOwnedJob(*node, ctx, index);
+                return took;
             });
-            if (ctx.finished()
-                || node->dead.load(std::memory_order_relaxed))
+            if (!took)
                 break;
-            index = ctx.queue.front();
-            ctx.queue.pop_front();
         }
         Job &job = ctx.jobs[index];
         ++job.attempts;
@@ -413,6 +438,9 @@ Coordinator::runCell(std::vector<Job> jobs,
             ++ctx.activeDispatchers;
             dispatchers.emplace_back(
                 [this, node, &ctx] { drainNode(node, ctx); });
+            // A joiner shifts the fleet's ranks: wake every dispatcher
+            // to re-take the jobs it now owns.
+            ctx.cv.notify_all();
         }
 
         if (ctx.finished())
@@ -465,7 +493,8 @@ Coordinator::runDavfCell(
     const std::string &structure, double delay_fraction,
     const std::vector<uint64_t> &cycles, const SamplingConfig &sampling,
     const std::function<void(const InjectionCycleOutcome &)>
-        &on_cycle_done)
+        &on_cycle_done,
+    const std::vector<double> &sweep)
 {
     std::vector<Job> jobs;
     jobs.reserve(cycles.size());
@@ -476,6 +505,7 @@ Coordinator::runDavfCell(
         job.spec.delayFraction = delay_fraction;
         job.spec.cycle = cycle;
         job.spec.sampling = sampling;
+        job.spec.sweep = sweep;
         jobs.push_back(std::move(job));
     }
     return runCell(std::move(jobs),

@@ -7,10 +7,14 @@
  * Topology: the coordinator owns a listening socket; davf_worker
  * processes connect, handshake (versioned hello carrying the node
  * name and workspace fingerprint — a mismatch is rejected), and join
- * the fleet. Each campaign cell becomes a queue of shard jobs; one
- * dispatcher thread per node pulls jobs work-stealing style, so fast
- * nodes naturally take more shards and a slow node never gates the
- * queue.
+ * the fleet. Each campaign cell becomes a queue of shard jobs with
+ * one dispatcher thread per node. Ownership is strict: job j of a cell
+ * goes to the node at rank j mod (live fleet size), the rank being the
+ * node's position in the live fleet, recomputed whenever the fleet
+ * changes, so a lost node's jobs pass to the survivors. With a stable
+ * fleet a node sees every delay of the cycles it owns and its engine's
+ * cross-delay sweep caches hit; the price is that a slow node gates
+ * its own share of the cell, since idle nodes never steal.
  *
  * Each attempt is one exchangeShard() (campaign/shard_exchange.hh),
  * the same frame conversation the process supervisor runs; this class
@@ -122,7 +126,8 @@ class Coordinator : public ShardDispatcher
         const std::vector<uint64_t> &cycles,
         const SamplingConfig &sampling,
         const std::function<void(const InjectionCycleOutcome &)>
-            &on_cycle_done) override;
+            &on_cycle_done,
+        const std::vector<double> &sweep) override;
 
     CellResult runSavfCell(const std::string &structure,
                            const SamplingConfig &sampling,
@@ -143,6 +148,13 @@ class Coordinator : public ShardDispatcher
 
     void acceptLoop();
     void drainNode(const std::shared_ptr<Node> &node, CellCtx &ctx);
+
+    /**
+     * Pop the first queued job that @p node owns (job j belongs to rank
+     * j mod live fleet size) into @p index. False when none is queued
+     * or the node has left the fleet. Caller holds ctx.mutex.
+     */
+    bool takeOwnedJob(const Node &node, CellCtx &ctx, size_t &index);
     void computeLocally(CellCtx &ctx, Job &job);
     void finishJob(CellCtx &ctx, Job &job);
     CellResult runCell(std::vector<Job> jobs,

@@ -11,9 +11,9 @@
  * On top of the frames sits a versioned handshake. A connecting worker
  * introduces itself first:
  *
- *   worker -> coordinator   "davf-net v1 hello <node> <fingerprint>"
- *   coordinator -> worker   "davf-net v1 welcome"
- *                         | "davf-net v1 reject <reason>"
+ *   worker -> coordinator   "davf-net v2 hello <node> <fingerprint>"
+ *   coordinator -> worker   "davf-net v2 welcome"
+ *                         | "davf-net v2 reject <reason>"
  *
  * The fingerprint is the workspace build fingerprint
  * (service::Workspace::fingerprint()): two processes with equal
@@ -38,9 +38,13 @@
 
 namespace davf::net {
 
-/** Handshake magic + protocol version, checked verbatim. */
+/**
+ * Handshake magic + protocol version, checked verbatim. v2: cycle
+ * shards may carry the " sweep" extension (core/shard.hh), which a v1
+ * node would answer with an error, so a mixed fleet fails at hello.
+ */
 inline constexpr std::string_view kNetMagic = "davf-net";
-inline constexpr std::string_view kNetVersion = "v1";
+inline constexpr std::string_view kNetVersion = "v2";
 
 /** A bound, listening TCP socket. */
 struct ListenSocket
@@ -88,17 +92,17 @@ struct Hello
     std::string fingerprint; ///< Its workspace build fingerprint.
 };
 
-/** The "davf-net v1 hello <node> <fingerprint>" frame text. */
+/** The "davf-net v2 hello <node> <fingerprint>" frame text. */
 std::string makeHello(const std::string &node,
                       const std::string &fingerprint);
 
 /** Parse a hello frame; wrong magic/version/shape is an Err. */
 Result<Hello> parseHello(const std::string &payload);
 
-/** The "davf-net v1 welcome" frame text. */
+/** The "davf-net v2 welcome" frame text. */
 std::string makeWelcome();
 
-/** The "davf-net v1 reject <reason>" frame text. */
+/** The "davf-net v2 reject <reason>" frame text. */
 std::string makeReject(const std::string &reason);
 
 /**

@@ -109,7 +109,11 @@ QueryScheduler::~QueryScheduler() = default;
 std::string
 shardStoreKey(const std::string &fingerprint, const ShardSpec &spec)
 {
-    return fingerprint + " " + serializeShardSpec(spec);
+    // The sweep is a worker speed hint, not part of what the shard
+    // computes: with it or without, the same shard hits the same record.
+    ShardSpec keyed = spec;
+    keyed.sweep.clear();
+    return fingerprint + " " + serializeShardSpec(keyed);
 }
 
 std::string

@@ -59,7 +59,8 @@ namespace davf::service {
  * The content-addressed store key of one shard under one workspace
  * build fingerprint. Shared by the query scheduler and the net
  * coordinator's cache tier (src/net/coordinator.hh), so a shard
- * computed by either is a hit for the other.
+ * computed by either is a hit for the other. The spec's sweep list is
+ * left out: it changes how a worker computes the shard, not what.
  */
 std::string shardStoreKey(const std::string &fingerprint,
                           const ShardSpec &spec);

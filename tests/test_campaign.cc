@@ -16,8 +16,11 @@
  *  - lenient loading of journals with a torn final line, plus a
  *    fuzz-ish corpus over the checkpoint/shard/quarantine parsers;
  *  - supervised process isolation: bit-identity with thread mode at
- *    any worker count, crash -> retry -> bisect -> quarantine, and
- *    exit-status classification of a worker that dies mid-frame.
+ *    any worker count, strict cycle-to-slot ownership, crash -> retry
+ *    -> bisect -> quarantine, and exit-status classification of a
+ *    worker that dies mid-frame;
+ *  - the worker serve loop's delay sweep: shards carrying the sweep
+ *    reuse cross-delay work with unchanged outcomes.
  *
  * The binary re-executes itself as a campaign worker when invoked with
  * --campaign-worker (rebuilding the same fixture engine), or as a
@@ -27,25 +30,34 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 
 #include "src/campaign/campaign.hh"
 #include "src/campaign/checkpoint.hh"
+#include "src/campaign/shard_exchange.hh"
 #include "src/campaign/stop.hh"
 #include "src/campaign/supervisor.hh"
 #include "src/core/shard.hh"
 #include "src/core/vulnerability.hh"
 #include "src/isa/benchmarks.hh"
+#include "src/obs/metrics.hh"
+#include "src/service/workspace.hh"
 #include "src/util/atomic_file.hh"
 #include "src/util/error.hh"
 #include "src/util/rng.hh"
@@ -656,6 +668,79 @@ TEST(ShardFormat, RoundTripsAndRejectsGarbage)
         (void)parseShardSpec(line.substr(0, n));
 }
 
+TEST(ShardFormat, SweepExtensionRoundTripsBitExactly)
+{
+    ShardSpec spec;
+    spec.structure = "ALU";
+    spec.delayFraction = 0.1 * 3.0; // 0.30000000000000004
+    spec.cycle = 77;
+    spec.sweep = {0.1, 1.0 / 3.0, 0.1 * 3.0, 0.9, 1.0};
+
+    for (bool attribution : {false, true}) {
+        spec.sampling.attribution = attribution;
+        const std::string line = serializeShardSpec(spec);
+        EXPECT_NE(line.find(" sweep 5 0x1.999999999999ap-4 "),
+                  std::string::npos)
+            << line;
+        const Result<ShardSpec> parsed = parseShardSpec(line);
+        ASSERT_TRUE(parsed.ok()) << parsed.error().what();
+        ASSERT_EQ(parsed.value().sweep.size(), spec.sweep.size());
+        for (size_t i = 0; i < spec.sweep.size(); ++i) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(parsed.value().sweep[i]),
+                      std::bit_cast<uint64_t>(spec.sweep[i]))
+                << i;
+        }
+        EXPECT_EQ(parsed.value().sampling.attribution, attribution);
+        EXPECT_EQ(serializeShardSpec(parsed.value()), line);
+
+        // No truncation may crash the parser; a missing delay is an
+        // error, not a shorter sweep.
+        for (size_t n = 0; n < line.size(); ++n)
+            (void)parseShardSpec(line.substr(0, n));
+        EXPECT_FALSE(parseShardSpec(line.substr(0, line.rfind(' '))).ok());
+    }
+
+    const std::string base = "cycle ALU 0x1p-1 4 0 10 0 0x1.47ae147ae147bp-5"
+                             " 12 0 0 1 300 0x0p+0 0x1p+0";
+    ASSERT_TRUE(parseShardSpec(base).ok());
+    for (const char *bad :
+         {" sweep", " sweep 0", " sweep 2 0x1p-1", " sweep 1 nope",
+          " sweep 99999999 0x1p-1", " sweep 1 0x1p-1 attr",
+          " sweep 1 0x1p-1 sweep 1 0x1p-1", " attr attr",
+          " sweep 1 0x1p-1 junk"}) {
+        EXPECT_FALSE(parseShardSpec(base + bad).ok()) << bad;
+    }
+}
+
+TEST(ShardFormat, SpecWithoutSweepIsByteEqualToEarlierReleases)
+{
+    // Pinned bytes: worker frames and store keys of specs that carry
+    // no sweep must never change, or stores written before the sweep
+    // extension would stop hitting.
+    ShardSpec spec;
+    spec.structure = "ALU";
+    spec.delayFraction = 1.0 / 3.0;
+    spec.cycle = 1234;
+    spec.wireBegin = 3;
+    spec.wireEnd = 17;
+    spec.quarantined = {4, 9};
+    spec.sampling.maxInjectionCycles = 7;
+    spec.sampling.maxWires = 30;
+    spec.sampling.seed = 99;
+    spec.sampling.injectionTimeoutMs = 12.5;
+    EXPECT_EQ(serializeShardSpec(spec),
+              "cycle ALU 0x1.5555555555555p-2 1234 3 17 2 4 9 "
+              "0x1.47ae147ae147bp-5 7 30 0 99 300 0x1.9p+3 0x1p+0");
+
+    ShardSpec savf;
+    savf.kind = ShardSpec::Kind::Savf;
+    savf.structure = "LSU";
+    savf.sampling.attribution = true;
+    EXPECT_EQ(serializeShardSpec(savf),
+              "savf LSU 0x1.47ae147ae147bp-5 12 0 0 1 300 0x0p+0 0x1p+0 "
+              "attr");
+}
+
 TEST(QuarantineFormat, RoundTripsAndPersists)
 {
     QuarantineRecord record;
@@ -963,6 +1048,53 @@ TEST(Campaign, HungWorkerIsKilledByTheShardDeadline)
     std::filesystem::remove_all(qdir);
 }
 
+TEST(Supervisor, CycleShardsStayOnTheirOwnerSlot)
+{
+    // Cycle index j of every cell runs on slot j mod pool (the CSV's
+    // worker column, its last), so each worker sees every delay of the
+    // cycles it owns and its sweep caches hit as thread mode's do.
+    const std::string metrics = tempPath("owner_slots.csv");
+    std::remove(metrics.c_str());
+    CampaignFixture fixture;
+    CampaignOptions opts = processOptions(fixture, 3);
+    opts.sampling.cycleFraction = 0.5; // 4 cycles, not 1.
+    opts.supervisor.metricsCsvPath = metrics;
+    Campaign campaign(*fixture.engine, *fixture.registry, opts);
+    const CampaignSummary summary = campaign.run();
+    EXPECT_EQ(summary.cellsFailed, 0u);
+
+    const std::vector<uint64_t> cycles =
+        fixture.engine->injectionCycles(opts.sampling);
+    ASSERT_GT(cycles.size(), 3u); // Some slot owns two cycles.
+    std::istringstream csv(slurp(metrics));
+    std::string line;
+    ASSERT_TRUE(std::getline(csv, line));
+    EXPECT_EQ(line, "structure,kind,cycle,wire_begin,wire_end,attempt,"
+                    "outcome,wall_ms,max_rss_kb,user_s,sys_s,worker");
+    size_t davf_rows = 0;
+    while (std::getline(csv, line)) {
+        std::vector<std::string> fields;
+        std::istringstream is(line);
+        for (std::string field; std::getline(is, field, ',');)
+            fields.push_back(field);
+        ASSERT_EQ(fields.size(), 12u) << line;
+        EXPECT_EQ(fields[6], "ok") << line;
+        if (fields[1] != "davf") {
+            EXPECT_EQ(fields[11], "0") << line; // sAVF runs on slot 0.
+            continue;
+        }
+        const auto it = std::find(cycles.begin(), cycles.end(),
+                                  std::stoull(fields[2]));
+        ASSERT_NE(it, cycles.end()) << line;
+        EXPECT_EQ(std::stoul(fields[11]),
+                  static_cast<size_t>(it - cycles.begin()) % 3)
+            << line;
+        ++davf_rows;
+    }
+    EXPECT_EQ(davf_rows, cycles.size() * opts.delays.size());
+    std::remove(metrics.c_str());
+}
+
 TEST(Supervisor, WorkerDyingMidFrameIsClassifiedByItsExitStatus)
 {
     // A worker that dies halfway through writing its reply leaves a
@@ -1009,6 +1141,100 @@ TEST(Supervisor, WorkerDyingMidFrameIsClassifiedByItsExitStatus)
         EXPECT_EQ(csv.find(",lost,"), std::string::npos) << csv;
         std::remove(metrics.c_str());
     }
+}
+
+// ------------------------------------------------- worker delay sweep
+
+TEST(ServeShards, SweepExtensionReusesWorkWithoutChangingOutcomes)
+{
+    // serveShards in-process over a socketpair, fed 2-delay ALU cycle
+    // shards: with the sweep extension the worker runs the engine's
+    // cross-delay reuse, and every outcome equals the sweep-free one.
+    service::Workspace workspace(service::WorkspaceSpec{"popcount"});
+    VulnerabilityEngine &engine = workspace.engine();
+    SamplingConfig sampling;
+    sampling.maxInjectionCycles = 2;
+    sampling.maxWires = 48;
+    sampling.seed = 3;
+    const std::vector<uint64_t> cycles = engine.injectionCycles(sampling);
+    ASSERT_EQ(cycles.size(), 2u);
+
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    FrameConn dispatcher(fds[0]);
+    std::thread worker([&] {
+        FrameConn conn(fds[1]);
+        serveShards(engine, workspace.structures(), conn);
+    });
+    const std::vector<double> delays = {0.5, 0.9};
+    const DispatchPolicy policy;
+    const DispatchMetrics metrics("supervisor");
+
+    using Counters = std::map<std::string, uint64_t>;
+    auto counted = [](const std::function<void()> &body) {
+        obs::MetricsRegistry::instance().reset();
+        obs::MetricsRegistry::setEnabled(true);
+        body();
+        obs::MetricsRegistry::setEnabled(false);
+        Counters counters =
+            obs::MetricsRegistry::instance().snapshot().counters;
+        obs::MetricsRegistry::instance().reset();
+        return counters;
+    };
+    auto value = [](const Counters &counters, const std::string &name) {
+        const auto it = counters.find(name);
+        return it == counters.end() ? uint64_t{0} : it->second;
+    };
+    auto exchange = [&](uint64_t cycle, double d,
+                        const SamplingConfig &config,
+                        const std::vector<double> &sweep) {
+        ShardSpec spec;
+        spec.structure = "ALU";
+        spec.delayFraction = d;
+        spec.cycle = cycle;
+        spec.sampling = config;
+        spec.sweep = sweep;
+        const ShardAttempt attempt =
+            exchangeShard(dispatcher, spec, policy, metrics);
+        EXPECT_EQ(attempt.outcome, ShardAttempt::Outcome::Ok)
+            << attempt.detail;
+        return serializeOutcomeFields(attempt.cycleOutcome);
+    };
+    // The campaign's order: every cycle of one delay, then the next.
+    auto sweep_all = [&](const std::vector<double> &sweep,
+                         std::vector<std::string> &outcomes) {
+        return counted([&] {
+            for (double d : delays)
+                for (uint64_t cycle : cycles)
+                    outcomes.push_back(exchange(cycle, d, sampling, sweep));
+        });
+    };
+
+    std::vector<std::string> plain, swept;
+    const Counters off = sweep_all({}, plain);
+    const Counters on = sweep_all(delays, swept);
+    EXPECT_EQ(swept, plain);
+    EXPECT_EQ(value(off, "engine.injections"),
+              value(on, "engine.injections"));
+    EXPECT_EQ(value(off, "engine.tsim.ctx_reuse"), 0u);
+    EXPECT_EQ(value(off, "engine.tsim.sweep_verdict_reuse"), 0u);
+    // The second delay of each cycle reuses its golden context.
+    EXPECT_EQ(value(on, "engine.tsim.ctx_reuse"), cycles.size());
+    EXPECT_GT(value(on, "engine.tsim.sweep_verdict_reuse"), 0u);
+
+    // A shard under other sampling starts a fresh sweep: its cycle's
+    // context is rebuilt, then reused by its next delay.
+    SamplingConfig reseeded = sampling;
+    reseeded.seed = 4;
+    const Counters fresh = counted(
+        [&] { exchange(cycles[0], delays[0], reseeded, delays); });
+    EXPECT_EQ(value(fresh, "engine.tsim.ctx_reuse"), 0u);
+    const Counters reused = counted(
+        [&] { exchange(cycles[0], delays[1], reseeded, delays); });
+    EXPECT_EQ(value(reused, "engine.tsim.ctx_reuse"), 1u);
+
+    dispatcher.send("quit");
+    worker.join();
 }
 
 /** A worker that says hello, takes one shard, writes half a reply

@@ -14,7 +14,8 @@
  *  - the DAVF_TEST_NETFAULT grammar;
  *  - coordinator + worker end to end: bit-identity with thread mode at
  *    any node count, recovery from garbled replies, dropped replies,
- *    stalled nodes, and mid-campaign disconnects, graceful degradation
+ *    stalled nodes, and mid-campaign disconnects (including re-ranking
+ *    the survivors when a middle node dies), graceful degradation
  *    to local compute with an empty fleet, and the shutdown drain that
  *    keeps a quit frame from racing an in-flight result.
  *
@@ -27,12 +28,15 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -373,10 +377,10 @@ TEST(Handshake, HelloRoundTrips)
 TEST(Handshake, RejectsGarbageAndTruncations)
 {
     for (const char *bad :
-         {"", "hello", "davf-net", "davf-net v1", "davf-net v1 hello",
-          "davf-net v1 hello node", "davf-net v2 hello node fp",
-          "davf-nit v1 hello node fp", "davf-net v1 hEllo node fp",
-          "GET / HTTP/1.1"}) {
+         {"", "hello", "davf-net", "davf-net v2", "davf-net v2 hello",
+          "davf-net v2 hello node", "davf-net v1 hello node fp",
+          "davf-net v3 hello node fp", "davf-nit v2 hello node fp",
+          "davf-net v2 hEllo node fp", "GET / HTTP/1.1"}) {
         EXPECT_FALSE(net::parseHello(bad).ok()) << '"' << bad << '"';
     }
 
@@ -405,7 +409,8 @@ TEST(Handshake, ReplyClassification)
     EXPECT_EQ(reason, "fingerprint clash");
 
     for (const char *bad :
-         {"", "welcome", "davf-net v2 welcome", "davf-net v1 wlcome"}) {
+         {"", "welcome", "davf-net v1 welcome", "davf-net v3 welcome",
+          "davf-net v2 wlcome"}) {
         EXPECT_FALSE(net::parseHandshakeReply(bad, reason).ok())
             << '"' << bad << '"';
     }
@@ -519,24 +524,31 @@ struct Reference
     std::string csv;
 };
 
+/** Run @p opts on @p fixture's engine; the journal and CSV it wrote. */
+Reference
+runCampaign(NetFixture &fixture, CampaignOptions opts,
+            const std::string &tag)
+{
+    const std::string ckpt = tempPath(tag + ".ckpt");
+    const std::string csv = tempPath(tag + ".csv");
+    opts.checkpointPath = ckpt;
+    opts.csvPath = csv;
+    Campaign campaign(*fixture.engine, *fixture.registry, opts);
+    const CampaignSummary summary = campaign.run();
+    EXPECT_FALSE(summary.interrupted) << tag;
+    EXPECT_EQ(summary.cellsFailed, 0u) << tag;
+    Reference result{slurp(ckpt), slurp(csv)};
+    std::remove(ckpt.c_str());
+    std::remove(csv.c_str());
+    return result;
+}
+
 const Reference &
 threadModeReference()
 {
     static const Reference ref = [] {
-        const std::string ckpt = tempPath("thread_ref.ckpt");
-        const std::string csv = tempPath("thread_ref.csv");
         NetFixture fixture;
-        CampaignOptions opts = fixture.options();
-        opts.checkpointPath = ckpt;
-        opts.csvPath = csv;
-        Campaign campaign(*fixture.engine, *fixture.registry, opts);
-        const CampaignSummary summary = campaign.run();
-        EXPECT_FALSE(summary.interrupted);
-        EXPECT_EQ(summary.cellsFailed, 0u);
-        Reference result{slurp(ckpt), slurp(csv)};
-        std::remove(ckpt.c_str());
-        std::remove(csv.c_str());
-        return result;
+        return runCampaign(fixture, fixture.options(), "thread_ref");
     }();
     return ref;
 }
@@ -547,20 +559,10 @@ void
 expectNetRunMatchesReference(NetHarness &harness, const std::string &tag)
 {
     const Reference &ref = threadModeReference();
-    const std::string ckpt = tempPath(tag + ".ckpt");
-    const std::string csv = tempPath(tag + ".csv");
-    CampaignOptions opts = harness.netOptions();
-    opts.checkpointPath = ckpt;
-    opts.csvPath = csv;
-    Campaign campaign(*harness.fixture.engine, *harness.fixture.registry,
-                      opts);
-    const CampaignSummary summary = campaign.run();
-    EXPECT_FALSE(summary.interrupted) << tag;
-    EXPECT_EQ(summary.cellsFailed, 0u) << tag;
-    EXPECT_EQ(slurp(ckpt), ref.journal) << tag;
-    EXPECT_EQ(slurp(csv), ref.csv) << tag;
-    std::remove(ckpt.c_str());
-    std::remove(csv.c_str());
+    const Reference got =
+        runCampaign(harness.fixture, harness.netOptions(), tag);
+    EXPECT_EQ(got.journal, ref.journal) << tag;
+    EXPECT_EQ(got.csv, ref.csv) << tag;
 }
 
 TEST(NetCampaign, BitIdenticalToThreadModeAtAnyNodeCount)
@@ -619,10 +621,11 @@ TEST(NetCampaign, ScalarTsimCoordinatorMatchesReference)
 }
 
 // The fault-injection tests below run the faulted node as the *only*
-// node, so the fault deterministically fires on its first shard (with
-// a second node present, work stealing may hand the faulted node no
-// work at all on a fast machine). Multi-node redispatch is covered by
-// BitIdenticalToThreadModeAtAnyNodeCount and the CI net_smoke.
+// node, so the fault deterministically fires on its first shard.
+// Multi-node redispatch is covered by
+// LostMiddleRankNodeHandsItsShardsToSurvivors (strict ownership hands
+// the faulted rank-1 node job 1 of the first cell) and the CI
+// net_smoke.
 
 TEST(NetCampaign, GarbledReplyIsRedispatched)
 {
@@ -683,6 +686,62 @@ TEST(NetCampaign, StalledNodeIsCaughtByShardDeadline)
     expectNetRunMatchesReference(harness, "stall");
 }
 
+TEST(NetCampaign, LostMiddleRankNodeHandsItsShardsToSurvivors)
+{
+    // Job j of a cell belongs to the node at rank j mod live-fleet-size.
+    // Killing the rank-1 node of three mid-cell must re-rank the two
+    // survivors over both residue classes; a rank taken from node ids
+    // (1 and 3, both odd) would leave the even jobs with no owner and
+    // the campaign waiting forever. The watchdog turns such a hang
+    // into a stopped, failing run instead.
+    const EnvGuard fault("DAVF_TEST_NETFAULT", "disconnect@w1");
+    NetFixture fixture;
+    CampaignOptions thread_opts = fixture.options();
+    thread_opts.sampling.cycleFraction = 0.5; // 4 jobs a cell, not 1.
+    const Reference ref = runCampaign(fixture, thread_opts, "rank1_ref");
+    std::atomic<bool> stop{false};
+    net::CoordinatorOptions options;
+    options.stopFlag = &stop;
+    NetHarness harness(fixture, options);
+    // Join one at a time, so w1 is rank 1 for certain.
+    for (size_t i = 0; i < 3; ++i) {
+        harness.spawnWorker("w" + std::to_string(i));
+        ASSERT_EQ(harness.coordinator->waitForNodes(i + 1, 30000.0),
+                  i + 1);
+    }
+
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool done = false;
+    std::thread watchdog([&] {
+        std::unique_lock<std::mutex> lock(mutex);
+        if (!cv.wait_for(lock, std::chrono::seconds(60),
+                         [&] { return done; }))
+            stop.store(true);
+    });
+    CampaignOptions net_opts = harness.netOptions();
+    net_opts.sampling = thread_opts.sampling;
+    const Reference got = runCampaign(fixture, net_opts, "rank1_loss");
+    EXPECT_EQ(got.journal, ref.journal);
+    EXPECT_EQ(got.csv, ref.csv);
+    {
+        const std::lock_guard<std::mutex> lock(mutex);
+        done = true;
+    }
+    cv.notify_all();
+    watchdog.join();
+    EXPECT_FALSE(stop.load()) << "the campaign hung after the node loss";
+    EXPECT_EQ(harness.coordinator->nodeCount(), 2u);
+
+    // w1 died on its first shard (exit 1); the survivors quit cleanly.
+    harness.coordinator->shutdown();
+    for (size_t i = 0; i < harness.workers.size(); ++i) {
+        const ExitStatus status = harness.workers[i]->wait();
+        EXPECT_TRUE(status.exited) << status.describe();
+        EXPECT_EQ(status.code, i == 1 ? 1 : 0) << "w" << i;
+    }
+}
+
 TEST(NetCampaign, EmptyFleetDegradesToLocalCompute)
 {
     NetFixture fixture;
@@ -709,9 +768,11 @@ TEST(NetCampaign, WrongVersionHelloIsRejected)
     NetFixture fixture;
     NetHarness harness(fixture);
 
+    // A v1 node predates the shard sweep extension: it must be turned
+    // away at hello, not fail shards later.
     FrameConn conn(
         net::connectTcp("127.0.0.1", harness.port, 2000.0));
-    conn.send("davf-net v999 hello n " + std::string(kTestFingerprint));
+    conn.send("davf-net v1 hello n " + std::string(kTestFingerprint));
     std::string payload;
     ASSERT_EQ(conn.read(payload, 5000.0),
               FrameConn::ReadStatus::Frame);

@@ -741,6 +741,32 @@ TEST_F(SchedulerFixture, ShardKeyEmbedsTheFingerprint)
     EXPECT_EQ(key.rfind("test-fp ", 0), 0u) << key;
 }
 
+TEST_F(SchedulerFixture, SweepExtensionLeavesTheStoreKeyAlone)
+{
+    const QuerySpec q = query();
+    ASSERT_TRUE(scheduler->run(q).ok());
+
+    ShardSpec spec;
+    spec.kind = ShardSpec::Kind::Cycle;
+    spec.structure = q.structure;
+    spec.delayFraction = q.delays[0];
+    spec.cycle = engine->injectionCycles(q.sampling)[0];
+    spec.sampling = q.sampling;
+    ShardSpec swept = spec;
+    swept.sweep = {0.25, 0.5, 0.75};
+
+    // The scheduler's key and the one the net coordinator's cache tier
+    // looks up (shardStoreKey) ignore the sweep, and a sweep-free key
+    // is the bare pre-sweep serialization, so records written before
+    // the extension still hit.
+    const std::string key = scheduler->shardKey(spec);
+    EXPECT_EQ(key, "test-fp " + serializeShardSpec(spec));
+    EXPECT_EQ(scheduler->shardKey(swept), key);
+    EXPECT_EQ(shardStoreKey("test-fp", swept), key);
+    EXPECT_EQ(swept.sweep.size(), 3u); // The caller's spec is untouched.
+    EXPECT_TRUE(store->lookup(shardStoreKey("test-fp", swept)).has_value());
+}
+
 // ----------------------------------------------------- report emitters
 
 TEST(ReportJson, RowsCarryTheKindDiscriminator)

@@ -53,7 +53,24 @@ isolation_smoke() {
             exit 1
         fi
     done
-    echo "=== isolation smoke ok ($quarantined quarantined)" >&2
+    # Strict shard ownership (docs/ROBUSTNESS.md): every ok row of cycle
+    # index j (the cycle's rank in its cell) ran on worker slot j mod 2,
+    # the `worker` column. Cycle shards are the only kind here.
+    tail -n +2 "$smoke_dir/shards.csv" | cut -d, -f3 | sort -n -u \
+        > "$smoke_dir/cycles.txt"
+    owned=$(awk -F, -v workers=2 '
+        NR == FNR { rank[$1] = FNR - 1; next }
+        FNR == 1 { if ($12 != "worker") bad = 1; next }
+        $7 == "ok" { if ($12 == rank[$3] % workers) ok++; else bad = 1 }
+        END { print bad ? -1 : ok + 0 }' \
+        "$smoke_dir/cycles.txt" "$smoke_dir/shards.csv")
+    if [ "$owned" -le 0 ]; then
+        echo "isolation smoke: an ok shard ran off its owner slot" \
+             "(or no ok rows, or no worker column)" >&2
+        exit 1
+    fi
+    echo "=== isolation smoke ok ($quarantined quarantined," \
+         "$owned ok shards on their owner slots)" >&2
 }
 
 # Vector smoke: the bit-parallel GroupACE path must be invisible in
