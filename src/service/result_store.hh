@@ -10,37 +10,34 @@
  *
  * Tiers:
  *  - an in-memory LRU map (bounded entry count) absorbs the hot set;
- *  - a persistent disk tier in one of two formats:
- *      - **Index** (the default for new directories): one append-only
- *        segment data file plus a persistent extendible-hash index
- *        (store/index_store.hh) — O(1) lookups with lock-free readers;
- *      - **Legacy**: one versioned file per record, written with the
- *        atomic tmp+rename discipline (util/atomic_file).
- *    StoreFormat::Auto picks whatever the directory already holds
- *    (an `index.davf` wins; existing `r-*.rec` directories stay legacy
- *    until `davf_store migrate` absorbs them; empty directories start
- *    indexed). Both formats store byte-identical v2 record text, and
- *    an indexed store still *reads* stray legacy record files —
- *    written by a process that lost the index lock, or left by an
- *    interrupted migration — absorbing them into the index on sight.
+ *  - a persistent disk tier: one append-only segment data file plus a
+ *    persistent extendible-hash index (store/index_store.hh) — O(1)
+ *    lookups with lock-free readers.
+ *
+ * **One writer per directory.** The disk tier belongs to the process
+ * holding its `index.lock`. A ResultStore that loses the lock warns
+ * and runs memory-only (indexed() == false): it serves its own writes
+ * from the LRU tier and never touches the directory. A directory that
+ * still holds legacy per-file records (`r-*.rec`) is refused at open
+ * with ErrorKind::BadInput; `davf_store migrate DIR` (store/migrate.hh)
+ * is the one reader of that format.
  *
  * Loads are corruption-tolerant in the same spirit as the lenient
  * checkpoint loader: a truncated, wrong-version, or otherwise
  * unparseable record — and a hash-collision record whose embedded key
  * disagrees — is reported as a miss (tallied in StoreStats), so the
- * caller recomputes and the rewrite repairs the store; a damaged (but
- * not collision) legacy record file is additionally unlinked on sight,
- * and a damaged indexed record drops its index slot. Nothing in this
- * class ever throws on a damaged record, and a failed record *publish*
- * (full disk, I/O error) is likewise swallowed after counting — the
- * memory tier still serves the result. Only an uncreatable store
- * directory surfaces as DavfError{Io}.
+ * caller recomputes and the rewrite repairs the store; a damaged
+ * record also drops its index slot, while a record from a newer
+ * grammar keeps it. Nothing in this class ever throws on a damaged
+ * record, and a failed record *publish* (full disk, I/O error) is
+ * likewise swallowed after counting — the memory tier still serves
+ * the result. Only an uncreatable store directory (DavfError{Io}) or
+ * an unmigrated legacy one (DavfError{BadInput}) fails the open.
  *
- * The publish and repair paths carry the `store.publish` and
- * `store.repair_unlink` crash points (util/crashpoint.hh); the indexed
- * tier adds the `index.*` family. Offline checking lives in
- * service/store_fsck.hh (legacy) and store/index_fsck.hh (indexed),
- * both behind the `davf_store` CLI.
+ * The publish path carries the `store.publish` crash point
+ * (util/crashpoint.hh); the disk tier adds the `index.*` family.
+ * Offline checking lives in store/index_fsck.hh, behind the
+ * `davf_store` CLI.
  */
 
 #ifndef DAVF_SERVICE_RESULT_STORE_HH
@@ -60,16 +57,6 @@
 
 namespace davf::service {
 
-/** Disk-tier format selection (see file comment). */
-enum class StoreFormat : uint8_t {
-    Auto,   ///< Follow what the directory holds; index when empty.
-    Legacy, ///< One file per record.
-    Index,  ///< Segment file + extendible-hash index.
-};
-
-/** Parse a `--store-format` value; nullopt if unrecognized. */
-std::optional<StoreFormat> parseStoreFormat(const std::string &text);
-
 /** Monotonic counters (and two gauges) describing one store. */
 struct StoreStats
 {
@@ -79,9 +66,8 @@ struct StoreStats
     uint64_t evictions = 0;      ///< LRU entries displaced.
     uint64_t corruptRecords = 0; ///< Unreadable records treated as misses.
     uint64_t futureRecords = 0;  ///< Newer-grammar records; miss, kept.
-    uint64_t writes = 0;         ///< Records persisted.
+    uint64_t writes = 0;         ///< Records stored (on disk if indexed()).
     uint64_t writeFailures = 0;  ///< Publishes that failed (non-fatal).
-    uint64_t repairUnlinks = 0;  ///< Damaged record files deleted.
 
     uint64_t lruEntries = 0;     ///< Gauge: entries in the LRU tier now.
     uint64_t lruBytes = 0;       ///< Gauge: key+payload bytes held now.
@@ -102,9 +88,6 @@ class ResultStore
 
         /** LRU tier capacity in entries (0 disables the tier). */
         size_t memCapacity = 4096;
-
-        /** Disk-tier format (Auto follows the directory contents). */
-        StoreFormat format = StoreFormat::Auto;
     };
 
     explicit ResultStore(Options options);
@@ -128,24 +111,12 @@ class ResultStore
 
     StoreStats stats() const;
 
-    /** Is the disk tier the indexed format? */
+    /** Does this store own a disk tier? False when memory-only by
+     * choice (no dir) or because another process holds the lock. */
     bool indexed() const { return index != nullptr; }
 
-    /** Indexed-tier counters; nullopt for legacy/memory-only stores. */
+    /** Disk-tier counters; nullopt for memory-only stores. */
     std::optional<davf::store::IndexStoreStats> indexStats() const;
-
-    /** Path of the legacy record file that would hold @p key; "" if
-     * memory-only. In index format this is where a *fallback* legacy
-     * record would sit (lookup absorbs such files on sight). */
-    std::string recordPath(const std::string &key) const;
-
-    /**
-     * The canonical file name ("r-<hash>.rec") a record for @p key
-     * lives under, independent of any store instance — shared with the
-     * offline fsck/compact tooling so "misplaced record" means the
-     * same thing everywhere.
-     */
-    static std::string recordFileName(const std::string &key);
 
     /**
      * @name Record text form (exposed for tests and fuzzing)
@@ -167,9 +138,6 @@ class ResultStore
   private:
     /** Insert into the LRU tier, evicting beyond capacity. */
     void remember(const std::string &key, const std::string &payload);
-
-    /** Legacy-format disk lookup (also the index-miss fallback). */
-    std::optional<std::string> lookupLegacyFile(const std::string &key);
 
     Options options;
     std::unique_ptr<davf::store::IndexStore> index;

@@ -37,13 +37,6 @@ struct Classified
     uint64_t tailOffset = 0; ///< Valid only when tornTailBytes > 0.
 };
 
-bool
-isLegacyRecordName(const std::string &name)
-{
-    return name.rfind("r-", 0) == 0 && name.size() > 6
-        && name.compare(name.size() - 4, 4, ".rec") == 0;
-}
-
 Classified
 classify(const std::string &dir)
 {
@@ -178,9 +171,8 @@ classify(const std::string &dir)
     if (report.legacyStrays > 0) {
         report.notes.push_back(
             std::to_string(report.legacyStrays)
-            + " legacy record file(s) alongside the index "
-              "(served via fallback; 'davf_store migrate' absorbs "
-              "them)");
+            + " legacy record file(s) (the store refuses this "
+              "directory until 'davf_store migrate' absorbs them)");
     }
     index.close();
     std::sort(report.notes.begin(), report.notes.end());
@@ -256,7 +248,8 @@ bool
 IndexFsckReport::clean() const
 {
     return !tornSplit && !staleIndex && staleEntries == 0
-        && unindexed == 0 && garbledFrames == 0 && tornTailBytes == 0;
+        && unindexed == 0 && garbledFrames == 0 && tornTailBytes == 0
+        && legacyStrays == 0;
 }
 
 IndexFsckReport
@@ -297,10 +290,17 @@ fsckIndexStore(const std::string &dir, const IndexFsckOptions &options)
             ++quarantined; // The tail-<offset>.bin evidence file.
         rebuilt = rebuilt || store.stats().rebuilds > 0;
     }
+    uint64_t migrated = 0;
+    if (first.report.legacyStrays > 0) {
+        const MigrateReport absorbed = migrateStore(dir);
+        migrated = absorbed.migrated;
+        quarantined += absorbed.quarantined;
+    }
 
     Classified after = classify(dir);
     after.report.quarantined = quarantined;
     after.report.rebuilt = rebuilt;
+    after.report.migrated = migrated;
     return after.report;
 }
 

@@ -20,7 +20,7 @@ namespace davf::store {
 
 namespace {
 
-/** Same name the legacy fsck uses; damage evidence shares one home. */
+/** Where damage evidence goes (fsck and migrate use the same name). */
 const char *const kQuarantineDirName = "quarantine";
 
 /** In-progress compaction rewrite target (segments.davf + this). */
@@ -298,8 +298,15 @@ IndexStore::lookup(const std::string &key)
         || !splitCanonicalRecord(record.value(), recordKey, payload)) {
         // Damaged frame or record: degrade to a miss and drop the
         // slot so readers stop re-verifying it; the bytes stay in the
-        // segment file for fsck/compact to quarantine.
-        index.remove(hash, candidate->offset);
+        // segment file for fsck/compact to quarantine. A failed
+        // bucket-page write only leaves the slot on disk, where the
+        // next open finds it damaged again.
+        try {
+            index.remove(hash, candidate->offset);
+        } catch (const DavfError &error) {
+            davf_warn("cannot persist dropping a damaged slot in '",
+                      storeDir, "': ", error.what());
+        }
         result.status = LookupStatus::Corrupt;
         indexMetrics().corrupt.add(1);
         const std::lock_guard<std::mutex> lock(statsMutex);
@@ -309,9 +316,8 @@ IndexStore::lookup(const std::string &key)
     }
     if (recordKey != key) {
         // A full 64-bit hash collision: the record is some other
-        // key's valid result. Deliberately kept (legacy semantics) —
-        // serving it would poison the cache, dropping it would hurt
-        // the owner.
+        // key's valid result. Deliberately kept: serving it would
+        // poison the cache, dropping it would hurt the owner.
         result.status = LookupStatus::Collision;
         indexMetrics().collisions.add(1);
         const std::lock_guard<std::mutex> lock(statsMutex);

@@ -3,8 +3,9 @@
  * The indexed disk tier of the result store: an append-only segment
  * data file (store/segment_file.hh) accelerated by a persistent
  * extendible-hash index (store/hash_index.hh), living together in one
- * store directory alongside (and byte-compatible with) the legacy
- * per-file record tier.
+ * store directory. Records keep the legacy per-file tier's text
+ * grammar byte for byte (store/layout.hh), which is what lets
+ * `davf_store migrate` absorb old directories verbatim.
  *
  * **Crash model.** The segment file is the source of truth; the index
  * is an acceleration structure. On open:
@@ -14,18 +15,15 @@
  *    split journal, directory holes) triggers a full rebuild from a
  *    segment scan;
  *  - a torn segment tail is quarantined into `<dir>/quarantine/`
- *    (never deleted) and truncated away, mirroring the legacy tier's
- *    repair-on-sight semantics.
+ *    (never deleted) and truncated away.
  * Lookups verify frame checksums, record checksums, and the full key,
  * so a damaged or colliding record degrades to a miss — never to a
  * wrong payload.
  *
  * **Exclusivity.** One process owns the indexed tier at a time (an
  * exclusive flock on `index.lock`); a second opener gets
- * DavfError{Io} and its ResultStore falls back to legacy per-file
- * records, which the owner later absorbs (lookup fallback, migrate,
- * compact). Within the owner, writers serialize on a mutex while
- * readers stay lock-free.
+ * DavfError{Io} and its ResultStore runs memory-only. Within the
+ * owner, writers serialize on a mutex while readers stay lock-free.
  *
  * Crash points: `index.append`, `index.bucket_write`,
  * `index.checkpoint`, `index.split_journal`, `index.split_apply`,
@@ -121,16 +119,16 @@ class IndexStore
 
     /**
      * Persist @p payload under @p key. Throws DavfError{Io} on an
-     * append/insert failure (the caller treats it like a failed legacy
-     * publish: count, warn, keep serving from memory). A *checkpoint*
-     * failure after a successful append is counted and swallowed.
+     * append/insert failure (the caller counts it, warns and keeps
+     * serving from memory). A *checkpoint* failure after a successful
+     * append is counted and swallowed.
      */
     void put(const std::string &key, const std::string &payload);
 
     /**
-     * Persist an already-serialized record (migration/absorption —
-     * preserves the original bytes exactly). @p record must be the
-     * canonical serialized form of (@p key, its payload).
+     * Persist an already-serialized record (migration, records of
+     * another grammar version — preserves the bytes exactly).
+     * @p record must be the serialized form of (@p key, its payload).
      */
     void putRecord(const std::string &key, const std::string &record);
 

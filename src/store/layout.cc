@@ -254,6 +254,13 @@ legacyRecordFileName(const std::string &key)
     return "r-" + fnv1a64Hex(key) + ".rec";
 }
 
+bool
+isLegacyRecordName(std::string_view name)
+{
+    return name.size() > 6 && name.substr(0, 2) == "r-"
+        && name.substr(name.size() - 4) == ".rec";
+}
+
 std::string
 serializeIndexHeader(const IndexHeader &header)
 {

@@ -133,6 +133,9 @@ bool splitCanonicalRecord(std::string_view record,
 /** Canonical legacy file name ("r-<hash>.rec") a key's record lives
  * under in a per-file store directory. */
 std::string legacyRecordFileName(const std::string &key);
+
+/** Is @p name shaped like a legacy per-file record ("r-*.rec")? */
+bool isLegacyRecordName(std::string_view name);
 /// @}
 
 /** Index header page (page 0 of index.davf). */

@@ -32,13 +32,6 @@ migrateMetrics()
     return *metrics;
 }
 
-bool
-isLegacyRecordName(const std::string &name)
-{
-    return name.rfind("r-", 0) == 0 && name.size() > 6
-        && name.compare(name.size() - 4, 4, ".rec") == 0;
-}
-
 /** Move @p path into <dir>/quarantine/ without clobbering. */
 void
 quarantineFile(const std::string &dir, const fs::path &path)

@@ -9,8 +9,11 @@
  * `<dir>/quarantine/` — never deleted. The pass is idempotent and
  * crash-safe: a record's legacy file is unlinked only after its frame
  * is durable in the segment file, so killing a migration anywhere
- * leaves a directory where lookups still find every record (index
- * first, legacy fallback second) and a rerun finishes the job.
+ * loses no record: each one sits in the index, in its legacy file, or
+ * in both, and a rerun finishes the job. Until it does, ResultStore
+ * refuses the directory (legacy files remain).
+ *
+ * This is the only code that reads a legacy record file.
  *
  * The per-record `index.migrate` crash point makes migration part of
  * the kill-anywhere matrix; `store.index.migrated_records` /

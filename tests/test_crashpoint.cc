@@ -9,16 +9,14 @@
  *    torn publishes a deterministic truncated prefix, garble a
  *    deterministic bit-flip (gtest death tests — the point SIGKILLs);
  *  - result-store publish failures are non-fatal and counted, damaged
- *    records are misses that get repaired (and the repair unlink is
- *    itself crash-tolerant);
+ *    records are misses whose index slot is dropped (and a failed
+ *    drop is itself just a miss);
  *  - quarantine records: save-point kills never leave a torn file and
  *    torn files never break loading;
- *  - store fsck/compact: classification of every damage kind, repair,
- *    idempotence, and kill-mid-repair rerunnability;
  *  - the recovery matrix: every registered crash point x
  *    {kill, torn, enospc} against a checkpointed campaign, a store
- *    round-trip, and compact — after recovery the surviving artifacts
- *    are byte-identical to an undisturbed run.
+ *    round-trip, and fsck/compact — after recovery the surviving
+ *    artifacts are byte-identical to an undisturbed run.
  *
  * Kill-action matrix cases re-execute this binary (--crash-child=...)
  * so the SIGKILL lands in a scratch process, which is why this test
@@ -45,7 +43,9 @@
 #include "src/campaign/checkpoint.hh"
 #include "src/campaign/supervisor.hh"
 #include "src/service/result_store.hh"
-#include "src/service/store_fsck.hh"
+#include "src/store/index_fsck.hh"
+#include "src/store/index_store.hh"
+#include "src/store/layout.hh"
 #include "src/util/atomic_file.hh"
 #include "src/util/crashpoint.hh"
 #include "src/util/error.hh"
@@ -82,6 +82,19 @@ writeRaw(const std::string &path, const std::string &contents)
     ASSERT_TRUE(static_cast<bool>(file)) << path;
     file << contents;
     ASSERT_TRUE(static_cast<bool>(file)) << path;
+}
+
+/** Flip one byte of the first @p needle in @p dir's segment file: the
+ * frame holding it becomes garbled. */
+void
+garbleSegment(const std::string &dir, const std::string &needle)
+{
+    const std::string path = dir + "/" + store::kDataFileName;
+    std::string bytes = slurp(path);
+    const size_t pos = bytes.find(needle);
+    ASSERT_NE(pos, std::string::npos) << needle;
+    bytes[pos + 3] ^= 0x20;
+    writeRaw(path, bytes);
 }
 
 /** Arms a spec for the enclosing scope; disarms on exit. */
@@ -295,7 +308,8 @@ TEST(StoreCrash, PublishFailureIsNonFatalAndCounted)
 {
     const std::string dir = tempPath("store_pubfail");
     fs::remove_all(dir);
-    service::ResultStore store({dir, 8, service::StoreFormat::Legacy});
+    service::ResultStore store({.dir = dir, .memCapacity = 8});
+    ASSERT_TRUE(store.indexed());
 
     ArmGuard armed("store.publish=throw");
     store.store("k1", "payload-1"); // must not throw
@@ -305,13 +319,13 @@ TEST(StoreCrash, PublishFailureIsNonFatalAndCounted)
     // The memory tier still serves the result...
     EXPECT_EQ(store.lookup("k1").value_or(""), "payload-1");
     // ...but nothing reached disk.
-    EXPECT_FALSE(fs::exists(store.recordPath("k1")));
+    EXPECT_EQ(store.indexStats()->keys, 0u);
 
     // The next publish (point latched) lands on disk.
     store.store("k2", "payload-2");
     stats = store.stats();
     EXPECT_EQ(stats.writes, 1u);
-    EXPECT_TRUE(fs::exists(store.recordPath("k2")));
+    EXPECT_EQ(store.indexStats()->keys, 1u);
     fs::remove_all(dir);
 }
 
@@ -320,21 +334,23 @@ TEST(StoreCrash, EnospcMidRecordIsAMissNextTimeNotACrash)
     const std::string dir = tempPath("store_enospc");
     fs::remove_all(dir);
     {
-        service::ResultStore store({dir, 8, service::StoreFormat::Legacy});
-        ArmGuard armed("atomic_file.write=enospc");
+        service::ResultStore store({.dir = dir, .memCapacity = 8});
+        ArmGuard armed("index.append=enospc");
         store.store("k1", "payload-1"); // swallowed, counted
         EXPECT_EQ(store.stats().writeFailures, 1u);
     }
     // A fresh store (cold memory tier) sees a plain miss, then the
     // rewrite repairs the record.
-    service::ResultStore store({dir, 8, service::StoreFormat::Legacy});
-    EXPECT_FALSE(store.lookup("k1").has_value());
-    store.store("k1", "payload-1");
-    EXPECT_EQ(store.stats().writes, 1u);
     {
-        service::ResultStore reread({dir, 8, service::StoreFormat::Legacy});
-        EXPECT_EQ(reread.lookup("k1").value_or(""), "payload-1");
+        service::ResultStore store({.dir = dir, .memCapacity = 8});
+        EXPECT_FALSE(store.lookup("k1").has_value());
+        EXPECT_EQ(store.stats().corruptRecords, 0u);
+        store.store("k1", "payload-1");
+        EXPECT_EQ(store.stats().writes, 1u);
     }
+    service::ResultStore reread({.dir = dir, .memCapacity = 8});
+    EXPECT_EQ(reread.lookup("k1").value_or(""), "payload-1");
+    EXPECT_TRUE(store::fsckIndexStore(dir).clean());
     fs::remove_all(dir);
 }
 
@@ -342,26 +358,25 @@ TEST(StoreCrash, GarbledRecordIsAMissAndGetsUnlinked)
 {
     const std::string dir = tempPath("store_garble");
     fs::remove_all(dir);
-    std::string path;
     {
-        service::ResultStore store({dir, 8, service::StoreFormat::Legacy});
+        service::ResultStore store({.dir = dir, .memCapacity = 8});
         store.store("k1", "payload-1");
-        path = store.recordPath("k1");
     }
-    // Flip one payload byte in place: the checksum must catch it.
-    std::string text = slurp(path);
-    const size_t pos = text.find("payload-1");
-    ASSERT_NE(pos, std::string::npos);
-    text[pos + 3] ^= 0x20;
-    writeRaw(path, text);
-
-    service::ResultStore store({dir, 8, service::StoreFormat::Legacy});
+    // Flip one payload byte in place: the frame checksum must catch it.
+    garbleSegment(dir, "payload-1");
+    {
+        service::ResultStore store({.dir = dir, .memCapacity = 8});
+        EXPECT_FALSE(store.lookup("k1").has_value());
+        const service::StoreStats stats = store.stats();
+        EXPECT_EQ(stats.corruptRecords, 1u);
+        EXPECT_EQ(stats.misses, 1u);
+        EXPECT_EQ(store.indexStats()->keys, 0u)
+            << "the damaged record's slot must be unlinked";
+    }
+    // The unlinked slot stays unlinked: a reopen sees a plain miss.
+    service::ResultStore store({.dir = dir, .memCapacity = 8});
     EXPECT_FALSE(store.lookup("k1").has_value());
-    const service::StoreStats stats = store.stats();
-    EXPECT_EQ(stats.corruptRecords, 1u);
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.repairUnlinks, 1u);
-    EXPECT_FALSE(fs::exists(path)) << "damaged record must be removed";
+    EXPECT_EQ(store.stats().corruptRecords, 0u);
     fs::remove_all(dir);
 }
 
@@ -369,25 +384,26 @@ TEST(StoreCrash, RepairUnlinkFailureIsStillJustAMiss)
 {
     const std::string dir = tempPath("store_repairfail");
     fs::remove_all(dir);
-    std::string path;
     {
-        service::ResultStore store({dir, 8, service::StoreFormat::Legacy});
+        service::ResultStore store({.dir = dir, .memCapacity = 8});
         store.store("k1", "payload-1");
-        path = store.recordPath("k1");
     }
-    writeRaw(path, "davf-store v2\nkey k1\n"); // torn
-
-    service::ResultStore store({dir, 8, service::StoreFormat::Legacy});
-    ArmGuard armed("store.repair_unlink=throw");
-    EXPECT_FALSE(store.lookup("k1").has_value()); // must not throw
-    EXPECT_EQ(store.stats().corruptRecords, 1u);
-    EXPECT_EQ(store.stats().repairUnlinks, 0u);
-    EXPECT_TRUE(fs::exists(path)) << "unlink was injected away";
-
-    // Latched: the next lookup completes the repair.
+    garbleSegment(dir, "payload-1");
+    {
+        service::ResultStore store({.dir = dir, .memCapacity = 8});
+        // Dropping the slot persists its bucket page; fail that write.
+        ArmGuard armed("index.bucket_write=throw");
+        EXPECT_FALSE(store.lookup("k1").has_value()); // must not throw
+        EXPECT_EQ(store.stats().corruptRecords, 1u);
+        EXPECT_FALSE(store.lookup("k1").has_value());
+        EXPECT_EQ(store.stats().misses, 2u);
+    }
+    // The slot survived on disk; the next owner drops it on sight.
+    service::ResultStore store({.dir = dir, .memCapacity = 8});
     EXPECT_FALSE(store.lookup("k1").has_value());
-    EXPECT_EQ(store.stats().repairUnlinks, 1u);
-    EXPECT_FALSE(fs::exists(path));
+    EXPECT_EQ(store.indexStats()->keys, 0u);
+    store.store("k1", "payload-1");
+    EXPECT_EQ(store.lookup("k1").value_or(""), "payload-1");
     fs::remove_all(dir);
 }
 
@@ -469,161 +485,34 @@ TEST(QuarantineCrash, TornRecordFileIsSkippedNotFatal)
 // ---------------------------------------------------------- fsck / compact
 
 /**
- * A store directory with one of everything:
- *  - valid records for "alpha" and "gamma";
- *  - a misplaced (wrong file name) record for "beta";
- *  - a misplaced duplicate of "gamma" (its canonical slot is taken);
- *  - a torn record, a garbled record, an orphan tmp, a foreign file.
+ * A store directory with one of everything fsck/compact repairs:
+ *  - valid records for "alpha", "beta" and "gamma" (plus a superseded
+ *    older "gamma" frame);
+ *  - a garbled frame ("epsilon") and a leftover split journal;
+ *  - a legacy record ("zeta") to absorb, a damaged legacy record, and
+ *    a foreign file.
  */
 void
 makeDamagedStore(const std::string &dir)
 {
     using service::ResultStore;
     fs::remove_all(dir);
-    fs::create_directories(dir);
-    writeRaw(dir + "/" + ResultStore::recordFileName("alpha"),
-             ResultStore::serializeRecord("alpha", "p-alpha"));
-    writeRaw(dir + "/" + ResultStore::recordFileName("gamma"),
-             ResultStore::serializeRecord("gamma", "p-gamma"));
-    writeRaw(dir + "/misplaced-beta.rec",
-             ResultStore::serializeRecord("beta", "p-beta"));
-    writeRaw(dir + "/old-gamma.rec",
-             ResultStore::serializeRecord("gamma", "p-gamma-stale"));
-    const std::string torn =
-        ResultStore::serializeRecord("delta", "p-delta");
-    writeRaw(dir + "/torn-delta.rec", torn.substr(0, torn.size() - 9));
-    std::string garbled =
-        ResultStore::serializeRecord("epsilon", "p-epsilon");
-    const size_t pos = garbled.find("p-epsilon");
-    garbled[pos + 4] ^= 0x01;
-    writeRaw(dir + "/" + ResultStore::recordFileName("epsilon"),
-             garbled);
-    writeRaw(dir + "/r-dead.rec.tmp.4242", "half a record");
+    {
+        store::IndexStore index({.dir = dir});
+        index.put("alpha", "p-alpha");
+        index.put("gamma", "p-gamma-stale");
+        index.put("beta", "p-beta");
+        index.put("gamma", "p-gamma");
+        index.put("epsilon", "p-epsilon");
+    }
+    garbleSegment(dir, "p-epsilon");
+    writeRaw(dir + "/" + store::kSplitJournalName, "torn split\n");
+    writeRaw(dir + "/" + store::legacyRecordFileName("zeta"),
+             ResultStore::serializeRecord("zeta", "p-zeta"));
+    const std::string torn = ResultStore::serializeRecord("delta", "p-d");
+    writeRaw(dir + "/" + store::legacyRecordFileName("delta"),
+             torn.substr(0, torn.size() - 9));
     writeRaw(dir + "/README", "not a record");
-}
-
-TEST(StoreFsck, ClassifiesEveryDamageKind)
-{
-    const std::string dir = tempPath("fsck_classify");
-    makeDamagedStore(dir);
-
-    const service::FsckReport report =
-        service::fsckStore(dir, service::FsckOptions{});
-    EXPECT_EQ(report.valid, 2u);
-    EXPECT_EQ(report.misplaced, 2u);
-    EXPECT_EQ(report.torn, 1u);
-    EXPECT_EQ(report.garbled, 1u);
-    EXPECT_EQ(report.orphanTmps, 1u);
-    EXPECT_EQ(report.foreign, 1u);
-    EXPECT_FALSE(report.clean());
-    EXPECT_EQ(report.quarantined, 0u) << "fsck without --repair reads only";
-
-    // The per-entry classification names the right files.
-    std::map<std::string, service::StoreEntryKind> kinds;
-    for (const service::StoreEntry &entry : report.entries)
-        kinds[entry.name] = entry.kind;
-    EXPECT_EQ(kinds["torn-delta.rec"], service::StoreEntryKind::Torn);
-    EXPECT_EQ(kinds["misplaced-beta.rec"],
-              service::StoreEntryKind::Misplaced);
-    EXPECT_EQ(kinds["r-dead.rec.tmp.4242"],
-              service::StoreEntryKind::OrphanTmp);
-    EXPECT_EQ(kinds["README"], service::StoreEntryKind::Foreign);
-    fs::remove_all(dir);
-}
-
-TEST(StoreFsck, RepairQuarantinesDamageAndIsIdempotent)
-{
-    const std::string dir = tempPath("fsck_repair");
-    makeDamagedStore(dir);
-
-    service::FsckOptions repair;
-    repair.repair = true;
-    const service::FsckReport report = service::fsckStore(dir, repair);
-    EXPECT_EQ(report.quarantined, 2u); // torn + garbled
-    EXPECT_EQ(report.removedTmps, 1u);
-    EXPECT_TRUE(report.clean());
-
-    // Damage moved, not destroyed: the evidence is in quarantine/.
-    EXPECT_TRUE(fs::exists(dir + "/" + service::kFsckQuarantineDir
-                           + "/torn-delta.rec"));
-    EXPECT_FALSE(fs::exists(dir + "/r-dead.rec.tmp.4242"));
-
-    // A second pass finds nothing left to repair.
-    const service::FsckReport again = service::fsckStore(dir, repair);
-    EXPECT_EQ(again.torn + again.garbled, 0u);
-    EXPECT_EQ(again.orphanTmps, 0u);
-    EXPECT_TRUE(again.clean());
-    // Valid and misplaced records were untouched (fsck never compacts).
-    EXPECT_EQ(again.valid, 2u);
-    EXPECT_EQ(again.misplaced, 2u);
-    fs::remove_all(dir);
-}
-
-TEST(StoreFsck, CompactRehomesMisplacedAndDropsDuplicateLosers)
-{
-    using service::ResultStore;
-    const std::string dir = tempPath("fsck_compact");
-    makeDamagedStore(dir);
-
-    const service::FsckReport report = service::compactStore(dir);
-    EXPECT_EQ(report.rehomed, 1u);         // beta
-    EXPECT_EQ(report.duplicateLosers, 1u); // old-gamma
-    EXPECT_TRUE(report.clean());
-
-    // Every key the store held is still served, from canonical names.
-    service::ResultStore store({dir, 8, service::StoreFormat::Legacy});
-    EXPECT_EQ(store.lookup("alpha").value_or(""), "p-alpha");
-    EXPECT_EQ(store.lookup("beta").value_or(""), "p-beta");
-    EXPECT_EQ(store.lookup("gamma").value_or(""), "p-gamma");
-    EXPECT_FALSE(fs::exists(dir + "/misplaced-beta.rec"));
-    EXPECT_FALSE(fs::exists(dir + "/old-gamma.rec"));
-
-    // Converged: a second compact is a no-op.
-    const service::FsckReport again = service::compactStore(dir);
-    EXPECT_EQ(again.rehomed + again.duplicateLosers, 0u);
-    EXPECT_EQ(again.valid, 3u);
-    fs::remove_all(dir);
-}
-
-TEST(StoreFsck, KillMidRepairIsRerunnable)
-{
-    const std::string dir = tempPath("fsck_killrepair");
-    makeDamagedStore(dir);
-
-    service::FsckOptions repair;
-    repair.repair = true;
-    {
-        // Die between the first and second repair action.
-        ArmGuard armed("fsck.repair:2=kill");
-        EXPECT_EXIT((void)service::fsckStore(dir, repair),
-                    ::testing::KilledBySignal(SIGKILL),
-                    "crashpoint: killing at 'fsck.repair'");
-    }
-    // The rerun finishes what the killed run started.
-    const service::FsckReport report = service::fsckStore(dir, repair);
-    EXPECT_TRUE(report.clean());
-    EXPECT_EQ(service::fsckStore(dir, service::FsckOptions{}).torn, 0u);
-    fs::remove_all(dir);
-}
-
-TEST(StoreFsck, KillMidCompactLosesNoKeys)
-{
-    const std::string dir = tempPath("fsck_killcompact");
-    makeDamagedStore(dir);
-
-    {
-        ArmGuard armed("compact.rewrite:1=kill");
-        EXPECT_EXIT((void)service::compactStore(dir),
-                    ::testing::KilledBySignal(SIGKILL),
-                    "crashpoint: killing at 'compact.rewrite'");
-    }
-    const service::FsckReport report = service::compactStore(dir);
-    EXPECT_TRUE(report.clean());
-    service::ResultStore store({dir, 8, service::StoreFormat::Legacy});
-    EXPECT_EQ(store.lookup("alpha").value_or(""), "p-alpha");
-    EXPECT_EQ(store.lookup("beta").value_or(""), "p-beta");
-    EXPECT_EQ(store.lookup("gamma").value_or(""), "p-gamma");
-    fs::remove_all(dir);
 }
 
 // --------------------------------------------------------- checkpoint files
@@ -811,11 +700,9 @@ TEST(CrashMatrix, StoreRoundTripRecoversFromEveryPublishFault)
     using service::ResultStore;
     const auto records = matrixStoreRecords();
 
-    // Points a record publish actually passes through.
-    const char *points[] = {"store.publish", "atomic_file.pre_tmp_write",
-                            "atomic_file.write", "atomic_file.pre_fsync",
-                            "atomic_file.pre_rename",
-                            "atomic_file.post_rename"};
+    // Points a store open, record publish, and close pass through.
+    const char *points[] = {"store.publish", "index.append",
+                            "index.bucket_write", "index.checkpoint"};
     for (const char *point : points) {
         for (const char *action : {"kill", "torn", "enospc", "garble"}) {
             SCOPED_TRACE(std::string(point) + "=" + action);
@@ -829,10 +716,8 @@ TEST(CrashMatrix, StoreRoundTripRecoversFromEveryPublishFault)
                  "--dir=" + dir});
             if (!(hit.exited && hit.code == 0)) {
                 // Recovery discipline: fsck --repair, then republish.
-                service::FsckOptions repair;
-                repair.repair = true;
-                const service::FsckReport report =
-                    service::fsckStore(dir, repair);
+                const store::IndexFsckReport report =
+                    store::fsckIndexStore(dir, {.repair = true});
                 EXPECT_TRUE(report.clean());
                 const ExitStatus status =
                     runChild({"--crash-child=store", "--dir=" + dir});
@@ -840,16 +725,20 @@ TEST(CrashMatrix, StoreRoundTripRecoversFromEveryPublishFault)
                     << status.describe();
             }
 
-            // Byte-identical round trip: every record is served with
-            // exactly the bytes an undisturbed run would have written.
+            // Byte-identical round trip: every record is on disk with
+            // exactly the bytes an undisturbed run would have written,
+            // and is served back.
+            EXPECT_TRUE(store::fsckIndexStore(dir).clean());
+            const std::string segments =
+                slurp(dir + "/" + store::kDataFileName);
+            ResultStore reread({.dir = dir, .memCapacity = 0});
             for (const auto &[key, payload] : records) {
-                const std::string path =
-                    dir + "/" + ResultStore::recordFileName(key);
-                EXPECT_EQ(slurp(path),
-                          ResultStore::serializeRecord(key, payload));
+                EXPECT_NE(segments.find(
+                              ResultStore::serializeRecord(key, payload)),
+                          std::string::npos)
+                    << key;
+                EXPECT_EQ(reread.lookup(key).value_or(""), payload);
             }
-            EXPECT_TRUE(
-                service::fsckStore(dir, service::FsckOptions{}).clean());
             fs::remove_all(dir);
         }
     }
@@ -860,7 +749,7 @@ TEST(CrashMatrix, FsckAndCompactRecoverFromTheirOwnCrashPoints)
     // Reference: what an undisturbed compact leaves behind.
     const std::string ref_dir = tempPath("mfsck_ref");
     makeDamagedStore(ref_dir);
-    ASSERT_TRUE(service::compactStore(ref_dir).clean());
+    ASSERT_TRUE(store::compactIndexStoreDir(ref_dir).clean());
     std::map<std::string, std::string> ref_files;
     for (const fs::directory_entry &entry :
          fs::recursive_directory_iterator(ref_dir)) {
@@ -962,18 +851,19 @@ campaignChild(const ChildArgs &args)
 int
 storeChild(const ChildArgs &args)
 {
-    service::ResultStore store({args.dir, 8, service::StoreFormat::Legacy});
+    service::ResultStore store({.dir = args.dir, .memCapacity = 8});
     for (const auto &[key, payload] : matrixStoreRecords())
         store.store(key, payload);
-    // A publish swallowed by the non-fatal path (throw/enospc actions)
-    // still has to surface to the matrix driver so it runs recovery.
-    return store.stats().writeFailures == 0 ? 0 : 5;
+    // A publish swallowed by the non-fatal path (throw/enospc actions),
+    // or an open that left the store memory-only, still has to surface
+    // to the matrix driver so it runs recovery.
+    return store.indexed() && store.stats().writeFailures == 0 ? 0 : 5;
 }
 
 int
 fsckChild(const ChildArgs &args)
 {
-    return service::compactStore(args.dir).clean() ? 0 : 6;
+    return store::compactIndexStoreDir(args.dir).clean() ? 0 : 6;
 }
 
 int

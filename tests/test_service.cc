@@ -39,6 +39,7 @@
 #include "src/service/result_store.hh"
 #include "src/service/scheduler.hh"
 #include "src/service/workspace.hh"
+#include "src/store/index_store.hh"
 #include "src/util/rng.hh"
 #include "src/util/subprocess.hh"
 #include "tests/helpers.hh"
@@ -126,7 +127,7 @@ TEST(ResultStore_, MemoryOnlyHitsAndMisses)
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.memoryHits, 1u);
     EXPECT_EQ(stats.writes, 1u);
-    EXPECT_EQ(store.recordPath("k"), "");
+    EXPECT_FALSE(store.indexed());
 }
 
 TEST(ResultStore_, PersistsAcrossInstances)
@@ -148,20 +149,27 @@ TEST(ResultStore_, PersistsAcrossInstances)
     std::filesystem::remove_all(dir);
 }
 
+/**
+ * Append @p record under @p key straight into the disk tier of the
+ * (closed) store at @p dir — how a damaged or foreign record would
+ * land there.
+ */
+void
+plantRecord(const std::string &dir, const std::string &key,
+            const std::string &record)
+{
+    davf::store::IndexStore({.dir = dir}).putRecord(key, record);
+}
+
 TEST(ResultStore_, TruncatedRecordIsAMissAndIsRepaired)
 {
     const std::string dir = tempPath("truncated");
     std::filesystem::remove_all(dir);
-    ResultStore store({.dir = dir,
-                       .memCapacity = 0, // no memory tier
-                       .format = StoreFormat::Legacy});
-    store.store("k", "v");
-
-    const std::string path = store.recordPath("k");
     const std::string full = ResultStore::serializeRecord("k", "v");
-    std::ofstream(path, std::ios::binary)
-        << full.substr(0, full.size() / 2);
+    plantRecord(dir, "k", full.substr(0, full.size() / 2));
 
+    ResultStore store({.dir = dir, .memCapacity = 0}); // no memory tier
+    ASSERT_TRUE(store.indexed());
     EXPECT_FALSE(store.lookup("k").has_value());
     EXPECT_EQ(store.stats().corruptRecords, 1u);
 
@@ -175,58 +183,54 @@ TEST(ResultStore_, TruncatedRecordIsAMissAndIsRepaired)
 
 TEST(ResultStore_, WrongVersionRecordIsAMiss)
 {
-    // Too-old grammar: damage, counted as corrupt and unlinked so
-    // fsck-less fleets stop re-parsing the file.
+    // Too-old grammar: damage, counted as corrupt, and its slot is
+    // dropped so readers stop re-verifying it.
     const std::string dir = tempPath("version");
     std::filesystem::remove_all(dir);
-    ResultStore store(
-        {.dir = dir, .memCapacity = 0, .format = StoreFormat::Legacy});
-    store.store("k", "v");
-    std::ofstream(store.recordPath("k"), std::ios::binary)
-        << "davf-store v1\nkey k\npayload v\nend\n";
+    plantRecord(dir, "k", "davf-store v1\nkey k\npayload v\nend\n");
+
+    ResultStore store({.dir = dir, .memCapacity = 0});
     EXPECT_FALSE(store.lookup("k").has_value());
     EXPECT_EQ(store.stats().corruptRecords, 1u);
     EXPECT_EQ(store.stats().futureRecords, 0u);
+    EXPECT_EQ(store.indexStats()->keys, 0u);
     std::filesystem::remove_all(dir);
 }
 
 TEST(ResultStore_, FutureVersionRecordIsAMissButSurvives)
 {
-    // A record written by a newer binary sharing the directory is a
-    // miss, not damage: tallied separately and never unlinked — the
-    // newer writer still serves it.
+    // A record from a newer grammar is a miss, not damage: tallied
+    // separately and never dropped — the newer writer still serves it.
     const std::string dir = tempPath("future");
     std::filesystem::remove_all(dir);
-    ResultStore store(
-        {.dir = dir, .memCapacity = 0, .format = StoreFormat::Legacy});
-    store.store("k", "v");
-    const std::string future =
-        "davf-store v999\nkey k\npayload v\nnewfield x\nend\n";
-    std::ofstream(store.recordPath("k"), std::ios::binary) << future;
-    EXPECT_FALSE(store.lookup("k").has_value());
-    EXPECT_EQ(store.stats().futureRecords, 1u);
-    EXPECT_EQ(store.stats().corruptRecords, 0u);
-    EXPECT_EQ(store.stats().repairUnlinks, 0u);
-    std::ifstream kept(store.recordPath("k"), std::ios::binary);
-    std::ostringstream contents;
-    contents << kept.rdbuf();
-    EXPECT_EQ(contents.str(), future);
+    {
+        ResultStore store({.dir = dir, .memCapacity = 0});
+        store.store("k", "v", 999);
+        EXPECT_EQ(store.stats().writes, 1u);
+    }
+    for (int reopen = 0; reopen < 2; ++reopen) {
+        ResultStore store({.dir = dir, .memCapacity = 0});
+        EXPECT_FALSE(store.lookup("k").has_value()) << reopen;
+        EXPECT_EQ(store.stats().futureRecords, 1u) << reopen;
+        EXPECT_EQ(store.stats().corruptRecords, 0u) << reopen;
+        EXPECT_EQ(store.indexStats()->keys, 1u) << reopen;
+    }
     std::filesystem::remove_all(dir);
 }
 
 TEST(ResultStore_, EmbeddedKeyMismatchIsAMiss)
 {
+    // Simulate a hash collision: the slot for "mine" holds a record
+    // whose embedded key is someone else's. Serving it would poison
+    // the cache; dropping it would hurt its owner.
     const std::string dir = tempPath("collision");
     std::filesystem::remove_all(dir);
-    ResultStore store(
-        {.dir = dir, .memCapacity = 0, .format = StoreFormat::Legacy});
-    // Simulate a filename-hash collision: the record file for "mine"
-    // holds a record whose embedded key is someone else's.
-    store.store("mine", "v");
-    std::ofstream(store.recordPath("mine"), std::ios::binary)
-        << ResultStore::serializeRecord("theirs", "w");
+    plantRecord(dir, "mine", ResultStore::serializeRecord("theirs", "w"));
+
+    ResultStore store({.dir = dir, .memCapacity = 0});
     EXPECT_FALSE(store.lookup("mine").has_value());
     EXPECT_EQ(store.stats().corruptRecords, 1u);
+    EXPECT_EQ(store.indexStats()->keys, 1u);
     std::filesystem::remove_all(dir);
 }
 
@@ -474,19 +478,28 @@ class SchedulerFixture : public ::testing::Test
 
         storeDir = tempPath("sched");
         std::filesystem::remove_all(storeDir);
-        // Legacy per-file records: several tests below open a second
-        // store over the same live directory, which the index format's
-        // single-writer lock intentionally refuses.
-        store = std::make_unique<ResultStore>(
-            ResultStore::Options{.dir = storeDir,
-                                 .memCapacity = 64,
-                                 .format = StoreFormat::Legacy});
+        open();
+    }
 
+    /** Open the store and a scheduler over it (a cold memory tier). */
+    void
+    open()
+    {
+        store = std::make_unique<ResultStore>(
+            ResultStore::Options{.dir = storeDir, .memCapacity = 64});
         QueryScheduler::Options options;
         options.benchmark = "rnd";
         options.threads = 2;
         scheduler = std::make_unique<QueryScheduler>(
             *engine, *registry, "test-fp", *store, options);
+    }
+
+    /** Close the scheduler and the store, releasing the directory. */
+    void
+    close()
+    {
+        scheduler.reset();
+        store.reset();
     }
 
     void
@@ -633,20 +646,15 @@ TEST_F(SchedulerFixture, AFreshSchedulerServesFromThePersistedStore)
     auto cold = scheduler->run(q);
     ASSERT_TRUE(cold.ok()) << cold.error().what();
 
-    // New store + scheduler over the same directory and fingerprint:
-    // everything is a (disk) hit and the bytes match.
-    ResultStore fresh_store(
-        ResultStore::Options{.dir = storeDir, .memCapacity = 64});
-    QueryScheduler::Options options;
-    options.benchmark = "rnd";
-    options.threads = 2;
-    QueryScheduler fresh(*engine, *registry, "test-fp", fresh_store,
-                         options);
-    auto warm = fresh.run(q);
+    // Restart: a new store + scheduler over the same directory and
+    // fingerprint. Everything is a (disk) hit and the bytes match.
+    close();
+    open();
+    auto warm = scheduler->run(q);
     ASSERT_TRUE(warm.ok()) << warm.error().what();
     EXPECT_EQ(warm.value().storeHits, numShards(q));
     EXPECT_EQ(warm.value().reportJson, cold.value().reportJson);
-    EXPECT_GT(fresh_store.stats().diskHits, 0u);
+    EXPECT_GT(store->stats().diskHits, 0u);
 }
 
 TEST_F(SchedulerFixture, ADifferentFingerprintMissesTheStore)
@@ -670,39 +678,51 @@ TEST_F(SchedulerFixture, CorruptRecordIsRecomputedAndRepaired)
     auto cold = scheduler->run(q);
     ASSERT_TRUE(cold.ok());
 
-    // Damage one shard record on disk and drop the memory tier by
-    // using a fresh store over the same directory.
+    // Stop, damage one shard record's frame in the segment file, and
+    // restart (which also drops the memory tier).
     ShardSpec spec;
     spec.kind = ShardSpec::Kind::Cycle;
     spec.structure = q.structure;
     spec.delayFraction = q.delays[0];
     spec.cycle = engine->injectionCycles(q.sampling)[0];
     spec.sampling = q.sampling;
-    ResultStore fresh_store(
-        ResultStore::Options{.dir = storeDir, .memCapacity = 64});
-    QueryScheduler::Options options;
-    options.benchmark = "rnd";
-    options.threads = 2;
-    QueryScheduler fresh(*engine, *registry, "test-fp", fresh_store,
-                         options);
-    const std::string path =
-        fresh_store.recordPath(fresh.shardKey(spec));
-    ASSERT_FALSE(path.empty());
-    std::ofstream(path, std::ios::binary) << "davf-store v1\nkey trunc";
+    const std::string key = scheduler->shardKey(spec);
+    close();
+    const std::string segments = storeDir + "/segments.davf";
+    std::string bytes;
+    {
+        std::ifstream in(segments, std::ios::binary);
+        std::ostringstream contents;
+        contents << in.rdbuf();
+        bytes = contents.str();
+    }
+    const size_t at = bytes.find("\nkey " + key + "\npayload ");
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(bytes.find("\nkey " + key + "\npayload ", at + 1),
+              std::string::npos);
+    const size_t victim = at + key.size() + 16; // inside the payload
+    bytes[victim] ^= 0x20;
+    std::ofstream(segments, std::ios::binary | std::ios::trunc) << bytes;
+    open();
 
-    auto warm = fresh.run(q);
+    auto warm = scheduler->run(q);
     ASSERT_TRUE(warm.ok()) << warm.error().what();
     EXPECT_EQ(warm.value().storeMisses, 1u);
     EXPECT_EQ(warm.value().storeHits, numShards(q) - 1);
     EXPECT_EQ(warm.value().reportJson, cold.value().reportJson);
-    // >= 1: the double-checked miss path may read (and tally) the
-    // damaged record again under the compute lock before repairing it.
-    EXPECT_GE(fresh_store.stats().corruptRecords, 1u);
+    EXPECT_EQ(store->stats().corruptRecords, 1u);
 
-    // The rewrite repaired the record: a second pass is all hits.
-    auto repaired = fresh.run(q);
+    // The rewrite repaired the record: a second pass is all hits, and
+    // so is one after another restart.
+    auto repaired = scheduler->run(q);
     ASSERT_TRUE(repaired.ok());
     EXPECT_EQ(repaired.value().storeHits, numShards(q));
+    close();
+    open();
+    auto reopened = scheduler->run(q);
+    ASSERT_TRUE(reopened.ok());
+    EXPECT_EQ(reopened.value().storeHits, numShards(q));
+    EXPECT_EQ(reopened.value().reportJson, cold.value().reportJson);
 }
 
 TEST_F(SchedulerFixture, UnknownStructureIsNotFound)

@@ -6,7 +6,8 @@
  * resynchronisation, hash-index splits/doubling/persistence, lock-free
  * readers racing a splitting writer, the IndexStore crash model
  * (replay, rebuild, torn-tail quarantine, corrupt-degrades-to-miss),
- * legacy absorption and migration, index fsck/compact, and the
+ * the one-writer rule, legacy refusal and migration, index
+ * fsck/compact, and the
  * kill-anywhere recovery matrix over every `index.*` crash point.
  *
  * Kill-action cases re-execute this binary (--crash-child=...) so the
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -74,6 +76,29 @@ struct ArmGuard
     }
     ~ArmGuard() { crashpoint::disarm(); }
 };
+
+/** Write a legacy per-file record for (@p key, @p payload) into
+ * @p dir, the shape `davf_store migrate` absorbs. */
+void
+writeLegacyRecord(const std::string &dir, const std::string &key,
+                  const std::string &payload)
+{
+    fs::create_directories(dir);
+    std::ofstream(dir + "/" + legacyRecordFileName(key),
+                  std::ios::binary)
+        << serializeRecordText(key, payload);
+}
+
+/** Sorted names of the entries directly in @p dir. */
+std::vector<std::string>
+listing(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &entry : fs::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
+}
 
 /** Flip one byte of @p path at @p offset (crafting garble damage). */
 void
@@ -728,15 +753,22 @@ TEST(IndexStoreT, SecondOpenerIsLockedOut)
     IndexStore store({.dir = dir});
     store.put(matrixKey(0), matrixPayload(0));
     EXPECT_THROW(IndexStore({.dir = dir}), DavfError);
-    // ... and ResultStore degrades to legacy per-file records instead
-    // of failing the open.
-    service::ResultStore fallback(
-        {.dir = dir, .memCapacity = 4,
-         .format = service::StoreFormat::Index});
-    EXPECT_FALSE(fallback.indexed());
-    fallback.store("fallback key", "fallback payload");
-    EXPECT_EQ(fallback.lookup("fallback key").value_or(""),
-              "fallback payload");
+    // ... and a ResultStore that loses the lock runs memory-only: it
+    // serves its own writes and leaves the owner's directory alone.
+    const std::vector<std::string> before = listing(dir);
+    const uint64_t segmentBytes =
+        fs::file_size(dir + "/" + kDataFileName);
+    service::ResultStore loser({.dir = dir, .memCapacity = 4});
+    EXPECT_FALSE(loser.indexed());
+    EXPECT_FALSE(loser.indexStats().has_value());
+    loser.store("loser key", "loser payload");
+    EXPECT_EQ(loser.lookup("loser key").value_or(""), "loser payload");
+    EXPECT_FALSE(loser.lookup(matrixKey(0)).has_value())
+        << "the owner's records are not the loser's to read";
+    EXPECT_EQ(listing(dir), before);
+    EXPECT_EQ(fs::file_size(dir + "/" + kDataFileName), segmentBytes);
+    EXPECT_EQ(store.lookup("loser key").status,
+              IndexStore::LookupStatus::Miss);
     fs::remove_all(dir);
 }
 
@@ -763,32 +795,32 @@ TEST(IndexStoreT, CompactDropsSupersededFramesAndKeepsPayloads)
 
 // --------------------------------------------- ResultStore integration
 
-TEST(StoreIntegration, AutoFormatFollowsTheDirectory)
+TEST(StoreIntegration, LegacyDirectoryIsRefusedUntilMigrated)
 {
-    const std::string legacy_dir = tempPath("auto_legacy");
-    const std::string fresh_dir = tempPath("auto_fresh");
-    fs::remove_all(legacy_dir);
-    fs::remove_all(fresh_dir);
-    {
-        service::ResultStore store({.dir = legacy_dir,
-                                    .memCapacity = 0,
-                                    .format =
-                                        service::StoreFormat::Legacy});
-        store.store("k", "v");
+    const std::string dir = tempPath("integ_legacy");
+    fs::remove_all(dir);
+    for (size_t i = 0; i < 5; ++i)
+        writeLegacyRecord(dir, matrixKey(i), matrixPayload(i));
+
+    try {
+        service::ResultStore store({.dir = dir, .memCapacity = 0});
+        ADD_FAILURE() << "a legacy directory must be refused";
+    } catch (const DavfError &error) {
+        EXPECT_EQ(error.kind(), ErrorKind::BadInput);
+        EXPECT_NE(std::string(error.what()).find("davf_store migrate"),
+                  std::string::npos)
+            << error.what();
     }
-    // Auto keeps an existing legacy directory legacy...
-    service::ResultStore legacy({.dir = legacy_dir, .memCapacity = 0});
-    EXPECT_FALSE(legacy.indexed());
-    EXPECT_EQ(legacy.lookup("k").value_or(""), "v");
-    // ...and starts an empty directory indexed.
-    service::ResultStore fresh({.dir = fresh_dir, .memCapacity = 0});
-    EXPECT_TRUE(fresh.indexed());
-    fresh.store("k", "v");
-    EXPECT_TRUE(IndexStore::present(fresh_dir));
-    EXPECT_FALSE(fs::exists(
-        fresh_dir + "/" + legacyRecordFileName("k")));
-    fs::remove_all(legacy_dir);
-    fs::remove_all(fresh_dir);
+    EXPECT_FALSE(IndexStore::present(dir)) << "refusal writes nothing";
+
+    EXPECT_EQ(migrateStore(dir).migrated, 5u);
+    service::ResultStore store({.dir = dir, .memCapacity = 0});
+    ASSERT_TRUE(store.indexed());
+    for (size_t i = 0; i < 5; ++i)
+        EXPECT_EQ(store.lookup(matrixKey(i)).value_or(""),
+                  matrixPayload(i))
+            << i;
+    fs::remove_all(dir);
 }
 
 TEST(StoreIntegration, IndexedStoreServesByteIdenticalPayloads)
@@ -796,9 +828,7 @@ TEST(StoreIntegration, IndexedStoreServesByteIdenticalPayloads)
     const std::string dir = tempPath("integ_bytes");
     fs::remove_all(dir);
     {
-        service::ResultStore store(
-            {.dir = dir, .memCapacity = 0,
-             .format = service::StoreFormat::Index});
+        service::ResultStore store({.dir = dir, .memCapacity = 0});
         for (size_t i = 0; i < 40; ++i)
             store.store(matrixKey(i), matrixPayload(i));
     }
@@ -814,25 +844,31 @@ TEST(StoreIntegration, IndexedStoreServesByteIdenticalPayloads)
     fs::remove_all(dir);
 }
 
-TEST(StoreIntegration, IndexedStoreAbsorbsLegacyStraysOnLookup)
+TEST(StoreIntegration, LegacyStrayBlocksOpenUntilFsckRepairMigratesIt)
 {
-    const std::string dir = tempPath("integ_absorb");
+    const std::string dir = tempPath("integ_stray");
     fs::remove_all(dir);
-    fs::create_directories(dir);
-    // A stray legacy record (as a locked-out fallback writer or an
-    // interrupted migration would leave).
-    const std::string stray = dir + "/" + legacyRecordFileName("stray");
-    std::ofstream(stray, std::ios::binary)
-        << serializeRecordText("stray", "stray payload");
+    {
+        service::ResultStore store({.dir = dir, .memCapacity = 0});
+        store.store(matrixKey(0), matrixPayload(0));
+    }
+    // A stray legacy record beside the index, as an interrupted
+    // migration leaves it.
+    writeLegacyRecord(dir, "stray", "stray payload");
+    EXPECT_THROW(service::ResultStore({.dir = dir, .memCapacity = 0}),
+                 DavfError);
 
-    service::ResultStore store({.dir = dir, .memCapacity = 0,
-                                .format = service::StoreFormat::Index});
-    ASSERT_TRUE(store.indexed());
+    const IndexFsckReport found = fsckIndexStore(dir);
+    EXPECT_EQ(found.legacyStrays, 1u);
+    EXPECT_FALSE(found.clean());
+    const IndexFsckReport repaired =
+        fsckIndexStore(dir, {.repair = true});
+    EXPECT_EQ(repaired.migrated, 1u);
+    EXPECT_TRUE(repaired.clean());
+
+    service::ResultStore store({.dir = dir, .memCapacity = 0});
     EXPECT_EQ(store.lookup("stray").value_or(""), "stray payload");
-    EXPECT_FALSE(fs::exists(stray))
-        << "absorbed into the index, legacy file retired";
-    EXPECT_EQ(store.lookup("stray").value_or(""), "stray payload")
-        << "second lookup is served by the index";
+    EXPECT_EQ(store.lookup(matrixKey(0)).value_or(""), matrixPayload(0));
     fs::remove_all(dir);
 }
 
@@ -866,13 +902,8 @@ TEST(StoreMigrate, LegacyDirectoryMigratesByteIdentically)
 {
     const std::string dir = tempPath("migrate_basic");
     fs::remove_all(dir);
-    {
-        service::ResultStore store({.dir = dir, .memCapacity = 0,
-                                    .format =
-                                        service::StoreFormat::Legacy});
-        for (size_t i = 0; i < 25; ++i)
-            store.store(matrixKey(i), matrixPayload(i));
-    }
+    for (size_t i = 0; i < 25; ++i)
+        writeLegacyRecord(dir, matrixKey(i), matrixPayload(i));
     // One damaged legacy record rides along; it must be quarantined,
     // never deleted, and never absorbed.
     const std::string damaged =
@@ -1015,9 +1046,7 @@ TEST(IndexFsck, CompactAbsorbsStraysQuarantinesDamageAndReclaims)
         for (size_t i = 0; i < 10; ++i) // superseded space
             store.put(matrixKey(i), matrixPayload(i));
     }
-    std::ofstream(dir + "/" + legacyRecordFileName("stray"),
-                  std::ios::binary)
-        << serializeRecordText("stray", "stray payload");
+    writeLegacyRecord(dir, "stray", "stray payload");
 
     const IndexFsckReport report = compactIndexStoreDir(dir);
     EXPECT_EQ(report.migrated, 1u);
@@ -1125,13 +1154,8 @@ TEST(IndexCrashMatrix, KillMidMigrationIsRerunnable)
 {
     const std::string dir = tempPath("matrix_migrate");
     fs::remove_all(dir);
-    {
-        service::ResultStore store({.dir = dir, .memCapacity = 0,
-                                    .format =
-                                        service::StoreFormat::Legacy});
-        for (size_t i = 0; i < 20; ++i)
-            store.store(matrixKey(i), matrixPayload(i));
-    }
+    for (size_t i = 0; i < 20; ++i)
+        writeLegacyRecord(dir, matrixKey(i), matrixPayload(i));
     Subprocess child;
     child.spawn({Subprocess::selfExePath(), "--crash-child=imigrate",
                  "--dir=" + dir, "--spec=index.migrate:10=kill"});
@@ -1140,15 +1164,24 @@ TEST(IndexCrashMatrix, KillMidMigrationIsRerunnable)
     EXPECT_TRUE(status.signaled && status.signal == SIGKILL)
         << status.describe();
 
-    // Mid-migration, *every* record is still served: index first,
-    // legacy fallback second.
+    // Mid-migration, every record sits in the index or in its legacy
+    // file, and the store refuses the directory until a rerun.
+    size_t indexed = 0;
     {
-        service::ResultStore store({.dir = dir, .memCapacity = 0});
-        for (size_t i = 0; i < 20; ++i)
-            EXPECT_EQ(store.lookup(matrixKey(i)).value_or(""),
-                      matrixPayload(i))
-                << i;
+        IndexStore index({.dir = dir});
+        for (size_t i = 0; i < 20; ++i) {
+            const bool hit = index.lookup(matrixKey(i)).status
+                == IndexStore::LookupStatus::Hit;
+            const bool legacy = fs::exists(
+                dir + "/" + legacyRecordFileName(matrixKey(i)));
+            EXPECT_TRUE(hit || legacy) << i;
+            indexed += hit;
+        }
     }
+    EXPECT_GT(indexed, 0u);
+    EXPECT_LT(indexed, 20u);
+    EXPECT_THROW(service::ResultStore({.dir = dir, .memCapacity = 0}),
+                 DavfError);
     // The rerun finishes the job and retires every legacy file.
     const MigrateReport report = migrateStore(dir);
     EXPECT_EQ(report.quarantined, 0u);

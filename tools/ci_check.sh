@@ -268,6 +268,19 @@ serve_smoke() {
     kill "$serve_pid" 2>/dev/null || true
     wait "$serve_pid" 2>/dev/null || true
     trap - EXIT
+
+    # Flag values go through the strict parsers: trailing garbage is a
+    # usage error (exit 2), never a silently different number.
+    for cmd in "davf_store populate --payload-bytes 12x $smoke_dir/p 1" \
+               "davf_trace --cycle 4x"; do
+        rc=0
+        # shellcheck disable=SC2086
+        "$build_dir/tools/"$cmd > /dev/null 2>&1 || rc=$?
+        if [ "$rc" -ne 2 ]; then
+            echo "serve smoke: '$cmd' exited $rc, expected 2" >&2
+            exit 1
+        fi
+    done
     echo "=== serve smoke ok ($hits shard hits)" >&2
 }
 
@@ -334,21 +347,16 @@ crash_soak() {
         fi
     done
 
-    # Phase 2: a torn store record. The armed server publishes a
-    # truncated record and dies mid-campaign; fsck must classify and
+    # Phase 2: a torn store record. The armed server appends a
+    # truncated record frame to the segment file and dies
+    # mid-campaign; fsck must classify the torn tail, repair must
     # quarantine it, and a clean restart must serve the exact cold
     # reply.
-    # --store-format legacy: this phase exercises the per-file record
-    # tier, whose publishes go through atomic_file.write (an indexed
-    # store appends to the segment file and the point never fires; the
-    # index tier's own kill matrix lives in store_index_smoke and
-    # tests/test_store.cc).
     store_dir="$soak_dir/store"
     sock="$soak_dir/davf.sock"
-    env DAVF_TEST_CRASHPOINT='atomic_file.write=torn' \
+    env DAVF_TEST_CRASHPOINT='index.append=torn' \
         "$build_dir/tools/davf_serve" --socket "$sock" \
-        --store-dir "$store_dir" --store-format legacy \
-        --benchmark popcount \
+        --store-dir "$store_dir" --benchmark popcount \
         2> "$soak_dir/serve-armed.log" &
     serve_pid=$!
     trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
@@ -423,14 +431,14 @@ crash_soak() {
         "store repaired)" >&2
 }
 
-# Store index smoke: the indexed result-store tier end to end against
-# the real binaries (docs/SERVICE.md, docs/ROBUSTNESS.md). A served
-# query seeds a legacy-format store and its warm reply is captured;
-# then every way the store can change shape — `davf_store migrate`,
-# a kill -9 mid-bucket-split followed by fsck repair, and a full
-# compact — must leave a restarted server producing that exact reply,
-# byte for byte. Runs under both configs so the segment file, hash
-# index, and recovery paths get ASan/UBSan coverage on every CI run.
+# Store index smoke: the result store end to end against the real
+# binaries (docs/SERVICE.md, docs/ROBUSTNESS.md). A served query seeds
+# the store and its warm reply is captured; then every way the store
+# can change shape — a no-op `davf_store migrate`, a kill -9
+# mid-bucket-split followed by fsck repair, and a full compact — must
+# leave a restarted server producing that exact reply, byte for byte.
+# Runs under both configs so the segment file, hash index, and
+# recovery paths get ASan/UBSan coverage on every CI run.
 store_index_smoke() {
     build_dir="$1"
     smoke_dir="$build_dir/store-index-smoke"
@@ -476,38 +484,34 @@ store_index_smoke() {
         start_server
         query > "$smoke_dir/$1"
         stop_server
-        if ! cmp -s "$smoke_dir/warm-legacy.json" "$smoke_dir/$1"; then
-            echo "store index smoke: $1 differs from the legacy warm" \
-                "reply" >&2
+        if ! cmp -s "$smoke_dir/warm.json" "$smoke_dir/$1"; then
+            echo "store index smoke: $1 differs from the warm reply" >&2
             exit 1
         fi
     }
 
-    # Seed a legacy-format store through a real served query and
-    # capture the warm (store-served) reply every later stage must
-    # reproduce.
-    start_server --store-format legacy
+    # Seed the store through a real served query and capture the warm
+    # (store-served) reply every later stage must reproduce.
+    start_server
     query > /dev/null
-    query > "$smoke_dir/warm-legacy.json"
+    query > "$smoke_dir/warm.json"
     stop_server
-    if ! ls "$store_dir"/r-*.rec > /dev/null 2>&1; then
-        echo "store index smoke: no legacy records were published" >&2
-        exit 1
-    fi
-
-    # Ballast so the migrated index is one bulk insert away from
-    # bucket splits (the kill target below).
-    "$build_dir/tools/davf_store" populate --format legacy \
-        "$store_dir" 120 2>> "$smoke_dir/store.log"
-
-    "$build_dir/tools/davf_store" migrate "$store_dir" \
-        2>> "$smoke_dir/store.log"
-    if ls "$store_dir"/r-*.rec > /dev/null 2>&1; then
-        echo "store index smoke: migrate left legacy records behind" >&2
-        exit 1
-    fi
     if [ ! -f "$store_dir/index.davf" ]; then
-        echo "store index smoke: migrate built no index" >&2
+        echo "store index smoke: the server built no index" >&2
+        exit 1
+    fi
+
+    # Ballast so the index is one bulk insert away from bucket splits
+    # (the kill target below).
+    "$build_dir/tools/davf_store" populate "$store_dir" 120 \
+        2>> "$smoke_dir/store.log"
+
+    # Nothing legacy to absorb: migrate is a no-op on an indexed store.
+    "$build_dir/tools/davf_store" migrate "$store_dir" \
+        2> "$smoke_dir/migrate.log"
+    if ! grep -q '^migrated 0 record(s)' "$smoke_dir/migrate.log"; then
+        echo "store index smoke: migrate touched an indexed store:" >&2
+        cat "$smoke_dir/migrate.log" >&2
         exit 1
     fi
     expect_reply warm-migrated.json
@@ -544,7 +548,7 @@ store_index_smoke() {
         2>> "$smoke_dir/store.log"
     expect_reply warm-compacted.json
     echo "=== store index smoke ok (replies byte-identical across" \
-        "migrate, split-kill repair, compact)" >&2
+        "no-op migrate, split-kill repair, compact)" >&2
 }
 
 # Attribution smoke: per-instruction root-cause attribution end to end

@@ -161,7 +161,6 @@ struct Options
     size_t min_nodes = 1;
     double node_wait_ms = 30000.0;
     std::string store_dir;
-    service::StoreFormat store_format = service::StoreFormat::Auto;
     unsigned workers = 1;
     unsigned max_retries = 2;
     double backoff_ms = 50.0;
@@ -194,8 +193,7 @@ printUsage(const char *argv0)
                  "[--isolate thread|process|net] [--workers N]\n"
                  "          [--listen HOST:PORT] [--port-file FILE] "
                  "[--min-nodes N]\n"
-                 "          [--node-wait-ms X] [--store-dir D] "
-                 "[--store-format auto|legacy|index]\n"
+                 "          [--node-wait-ms X] [--store-dir D]\n"
                  "          [--max-retries N] [--backoff-ms X] "
                  "[--worker-mem-mb N]\n"
                  "          [--shard-timeout-ms X] [--quarantine-dir D]\n"
@@ -384,15 +382,6 @@ parse(int argc, char **argv)
                 usageError(argv[0], "--node-wait-ms must be >= 0");
         } else if (arg == "--store-dir") {
             opts.store_dir = need(i);
-        } else if (arg == "--store-format") {
-            const std::string value = need(i);
-            const auto format = service::parseStoreFormat(value);
-            if (!format) {
-                usageError(argv[0],
-                           "--store-format expects auto, legacy, or "
-                           "index, got '" + value + "'");
-            }
-            opts.store_format = *format;
         } else if (arg == "--workers") {
             opts.workers =
                 static_cast<unsigned>(parseU64(argv[0], arg, need(i)));
@@ -588,7 +577,6 @@ runTool(int argc, char **argv)
         if (!opts.store_dir.empty()) {
             service::ResultStore::Options store_options;
             store_options.dir = opts.store_dir;
-            store_options.format = opts.store_format;
             net_store = std::make_unique<service::ResultStore>(
                 store_options);
             const std::string fingerprint = workspace.fingerprint();

@@ -13,7 +13,8 @@
  *   davf_serve --socket PATH [options]
  *     --socket PATH        Unix-domain socket to listen on (required)
  *     --store-dir DIR      persistent record directory (default: the
- *                          store is memory-only)
+ *                          store is memory-only). One process owns a
+ *                          directory; a second one serves from memory
  *     --mem-capacity N     in-memory LRU tier entries (default 4096)
  *     --benchmark NAME     workload (default libstrstr)
  *     --ecc                protect the register file with SEC ECC
@@ -73,7 +74,6 @@ struct Options
 {
     std::string socket_path;
     std::string store_dir;
-    service::StoreFormat store_format = service::StoreFormat::Auto;
     size_t mem_capacity = 4096;
     WorkspaceSpec workspace;
     unsigned threads = 0;
@@ -93,8 +93,7 @@ usageError(const char *argv0, const std::string &detail)
 {
     std::fprintf(stderr,
                  "usage: %s --socket PATH [--store-dir DIR] "
-                 "[--store-format auto|legacy|index]\n"
-                 "          [--mem-capacity N]\n"
+                 "[--mem-capacity N]\n"
                  "          [--benchmark N] [--ecc] [--sta-period] "
                  "[--threads N]\n"
                  "          [--no-vector] [--vector-lanes N] "
@@ -132,15 +131,6 @@ parse(int argc, char **argv)
             opts.socket_path = need(i);
         } else if (arg == "--store-dir") {
             opts.store_dir = need(i);
-        } else if (arg == "--store-format") {
-            const std::string value = need(i);
-            const auto format = service::parseStoreFormat(value);
-            if (!format) {
-                usageError(argv[0],
-                           "--store-format expects auto, legacy, or "
-                           "index, got '" + value + "'");
-            }
-            opts.store_format = *format;
         } else if (arg == "--mem-capacity") {
             opts.mem_capacity =
                 static_cast<size_t>(parseU64(argv[0], arg, need(i)));
@@ -367,7 +357,6 @@ runTool(int argc, char **argv)
 
     ResultStore::Options store_options;
     store_options.dir = opts.store_dir;
-    store_options.format = opts.store_format;
     store_options.memCapacity = opts.mem_capacity;
     ResultStore store(store_options);
 

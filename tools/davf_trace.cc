@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "campaign/checkpoint.hh"
@@ -35,6 +36,7 @@
 #include "soc/ibex_mini.hh"
 #include "soc/soc_workload.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 using namespace davf;
 
@@ -111,37 +113,42 @@ runTool(int argc, char **argv)
     std::string prefix = "davf_trace";
     uint64_t cycle = 0;
     double fraction = 0.6;
-    long wire_index = -1;
+    std::optional<uint64_t> wire_index;
     uint64_t tail = 40;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto need = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             arg.c_str());
-                std::exit(2);
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            auto need = [&]() -> const char * {
+                if (i + 1 >= argc) {
+                    std::fprintf(stderr, "missing value for %s\n",
+                                 arg.c_str());
+                    std::exit(2);
+                }
+                return argv[++i];
+            };
+            if (arg == "--benchmark")
+                benchmark = need();
+            else if (arg == "--structure")
+                structure_name = need();
+            else if (arg == "--cycle")
+                cycle = parseU64Strict(need(), arg);
+            else if (arg == "--d")
+                fraction = parseDoubleStrict(need(), arg);
+            else if (arg == "--wire")
+                wire_index = parseU64Strict(need(), arg);
+            else if (arg == "--tail")
+                tail = parseU64Strict(need(), arg);
+            else if (arg == "--out")
+                prefix = need();
+            else {
+                std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+                return 2;
             }
-            return argv[++i];
-        };
-        if (arg == "--benchmark")
-            benchmark = need();
-        else if (arg == "--structure")
-            structure_name = need();
-        else if (arg == "--cycle")
-            cycle = std::strtoull(need(), nullptr, 10);
-        else if (arg == "--d")
-            fraction = std::atof(need());
-        else if (arg == "--wire")
-            wire_index = std::atol(need());
-        else if (arg == "--tail")
-            tail = std::strtoull(need(), nullptr, 10);
-        else if (arg == "--out")
-            prefix = need();
-        else {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-            return 2;
         }
+    } catch (const DavfError &error) {
+        std::fprintf(stderr, "%s\n", error.what());
+        return 2;
     }
 
     const BenchmarkProgram &program = beebsBenchmark(benchmark);
@@ -168,8 +175,8 @@ runTool(int argc, char **argv)
     // with a non-empty dynamically reachable set.
     std::vector<CycleSimulator::Force> errors;
     WireId wire = kInvalidId;
-    if (wire_index >= 0) {
-        wire = structure->wires.at(static_cast<size_t>(wire_index));
+    if (wire_index) {
+        wire = structure->wires.at(*wire_index);
         errors = engine.dynamicErrors(wire, cycle, d);
     } else {
         for (size_t i = 0; i < structure->wires.size(); ++i) {
