@@ -72,9 +72,13 @@ ResultStore::ResultStore(Options the_options)
         index = std::make_unique<davf::store::IndexStore>(
             davf::store::IndexStore::Options{.dir = options.dir});
     } catch (const DavfError &error) {
-        // Most likely another process owns the index lock. One writer
-        // per directory: this process serves from memory and leaves
-        // the directory to the owner.
+        // Another process owns the index lock. One writer per
+        // directory: this process serves from memory and leaves the
+        // directory to the owner. Any other open failure (I/O error,
+        // unrecoverable index) fails the open, so no caller counts
+        // writes that never reach the disk.
+        if (error.kind() != ErrorKind::Busy)
+            throw;
         davf_warn("cannot open indexed store in '", options.dir,
                   "' (serving from memory only): ", error.what());
     }
@@ -124,7 +128,7 @@ ResultStore::remember(const std::string &key, const std::string &payload)
 }
 
 std::optional<std::string>
-ResultStore::lookup(const std::string &key)
+ResultStore::find(const std::string &key, bool count_miss)
 {
     {
         const std::lock_guard<std::mutex> lock(mutex);
@@ -167,9 +171,11 @@ ResultStore::lookup(const std::string &key)
         }
     }
 
-    const std::lock_guard<std::mutex> lock(mutex);
-    ++counters.misses;
-    storeMetrics().misses.add(1);
+    if (count_miss) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        ++counters.misses;
+        storeMetrics().misses.add(1);
+    }
     return std::nullopt;
 }
 

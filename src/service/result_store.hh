@@ -15,9 +15,11 @@
  *    lookups with lock-free readers.
  *
  * **One writer per directory.** The disk tier belongs to the process
- * holding its `index.lock`. A ResultStore that loses the lock warns
- * and runs memory-only (indexed() == false): it serves its own writes
- * from the LRU tier and never touches the directory. A directory that
+ * holding its `index.lock`. A ResultStore that loses the lock
+ * (DavfError{Busy}) warns and runs memory-only (indexed() == false):
+ * it serves its own writes from the LRU tier and never touches the
+ * directory. Any other disk-tier open failure fails the open. A
+ * directory that
  * still holds legacy per-file records (`r-*.rec`) is refused at open
  * with ErrorKind::BadInput; `davf_store migrate DIR` (store/migrate.hh)
  * is the one reader of that format.
@@ -31,8 +33,9 @@
  * grammar keeps it. Nothing in this class ever throws on a damaged
  * record, and a failed record *publish* (full disk, I/O error) is
  * likewise swallowed after counting — the memory tier still serves
- * the result. Only an uncreatable store directory (DavfError{Io}) or
- * an unmigrated legacy one (DavfError{BadInput}) fails the open.
+ * the result. An uncreatable or unusable store directory
+ * (DavfError{Io}) or an unmigrated legacy one (DavfError{BadInput})
+ * fails the open.
  *
  * The publish path carries the `store.publish` crash point
  * (util/crashpoint.hh); the disk tier adds the `index.*` family.
@@ -97,7 +100,21 @@ class ResultStore
      * a corrupt or mismatched record, which the next store() repairs).
      * Keys and payloads must be single-line strings.
      */
-    std::optional<std::string> lookup(const std::string &key);
+    std::optional<std::string> lookup(const std::string &key)
+    {
+        return find(key, true);
+    }
+
+    /**
+     * lookup() again for a key whose miss the caller already counted
+     * (the scheduler's double-check under its compute lock): a hit
+     * counts as usual, a miss counts nothing, so `misses` stays one
+     * per computed shard.
+     */
+    std::optional<std::string> recheck(const std::string &key)
+    {
+        return find(key, false);
+    }
 
     /**
      * Persist @p payload under @p key (memory tier + disk tier).
@@ -136,6 +153,10 @@ class ResultStore
     /// @}
 
   private:
+    /** The lookup body; counts a miss only when @p count_miss. */
+    std::optional<std::string> find(const std::string &key,
+                                    bool count_miss);
+
     /** Insert into the LRU tier, evicting beyond capacity. */
     void remember(const std::string &key, const std::string &payload);
 

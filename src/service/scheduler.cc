@@ -198,7 +198,7 @@ QueryScheduler::runDavfCell(const Structure &structure,
         for (uint64_t cycle : missing) {
             spec.cycle = cycle;
             InjectionCycleOutcome outcome;
-            if (auto payload = store->lookup(shardKey(spec));
+            if (auto payload = store->recheck(shardKey(spec));
                 payload && parseOutcomePayload(*payload, outcome)) {
                 progress.completed.push_back(std::move(outcome));
                 ++reply.storeHits;
@@ -296,15 +296,15 @@ QueryScheduler::runSavfCell(const Structure &structure,
     const std::string key = shardKey(spec);
 
     const Clock::time_point lookup_start = Clock::now();
-    auto tryLookup = [&]() -> std::optional<SavfResult> {
+    auto tryLookup = [&](bool again) -> std::optional<SavfResult> {
         SavfResult result;
-        if (auto payload = store->lookup(key);
+        if (auto payload = again ? store->recheck(key) : store->lookup(key);
             payload && parseSavfPayload(*payload, result)) {
             return result;
         }
         return std::nullopt;
     };
-    std::optional<SavfResult> hit = tryLookup();
+    std::optional<SavfResult> hit = tryLookup(false);
     {
         const std::lock_guard<std::mutex> stats_lock(statsMutex);
         lookupMs.add(elapsedMs(lookup_start));
@@ -318,7 +318,7 @@ QueryScheduler::runSavfCell(const Structure &structure,
     }
 
     const std::lock_guard<std::mutex> engine_lock(engineMutex);
-    if ((hit = tryLookup())) {
+    if ((hit = tryLookup(true))) {
         ++reply.storeHits;
         schedulerMetrics().inFlightHits.add(1);
         const std::lock_guard<std::mutex> stats_lock(statsMutex);

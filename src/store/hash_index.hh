@@ -100,8 +100,9 @@ class HashIndex
     /**
      * The slot for @p hash, if present. Lock-free: safe concurrently
      * with one writer in insert()/remove()/split. When @p probes is
-     * non-null it receives the number of slot fingerprints examined
-     * (the store.index.probes_per_lookup histogram).
+     * non-null it receives the number of bucket slots scanned: a hit
+     * counts up to and including its own slot, a miss the whole
+     * bucket (the store.index.probes_per_lookup histogram).
      */
     std::optional<Candidate> lookup(uint64_t hash,
                                     uint32_t *probes = nullptr) const;

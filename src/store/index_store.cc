@@ -107,7 +107,7 @@ IndexStore::IndexStore(Options the_options)
         const int saved = errno;
         ::close(lockFd);
         lockFd = -1;
-        davf_throw(ErrorKind::Io, "index lock '", lockPath,
+        davf_throw(ErrorKind::Busy, "index lock '", lockPath,
                    "' is held by another process: ",
                    std::strerror(saved));
     }
@@ -344,15 +344,13 @@ void
 IndexStore::putRecord(const std::string &key,
                       const std::string &record)
 {
-    const std::lock_guard<std::mutex> lock(writerMutex);
-    putLocked(key, record);
+    putRecordUnder(fnv1a64(key), record);
 }
 
 void
-IndexStore::putLocked(const std::string &key,
-                      const std::string &record)
+IndexStore::putRecordUnder(uint64_t hash, const std::string &record)
 {
-    const uint64_t hash = fnv1a64(key);
+    const std::lock_guard<std::mutex> lock(writerMutex);
     const uint64_t offset = segments.append(record, hash);
     index.insert(hash, offset,
                  static_cast<uint32_t>(record.size()));

@@ -22,7 +22,7 @@
  *
  * **Exclusivity.** One process owns the indexed tier at a time (an
  * exclusive flock on `index.lock`); a second opener gets
- * DavfError{Io} and its ResultStore runs memory-only. Within the
+ * DavfError{Busy} and its ResultStore runs memory-only. Within the
  * owner, writers serialize on a mutex while readers stay lock-free.
  *
  * Crash points: `index.append`, `index.bucket_write`,
@@ -89,8 +89,9 @@ class IndexStore
 
     /**
      * Open (creating, rebuilding, repairing as needed — see crash
-     * model above). Throws DavfError{Io} when the directory is
-     * unusable or another process holds the index lock.
+     * model above). Throws DavfError{Busy} when another process
+     * holds the index lock, DavfError{Io} when the directory is
+     * unusable.
      */
     explicit IndexStore(Options options);
 
@@ -132,6 +133,14 @@ class IndexStore
      */
     void putRecord(const std::string &key, const std::string &record);
 
+    /**
+     * Persist @p record verbatim under the key hash @p hash: for a
+     * record this binary cannot parse (a newer grammar's) whose key
+     * hash is known from elsewhere, such as its legacy file name.
+     * Lookups of the key then report LookupStatus::Future.
+     */
+    void putRecordUnder(uint64_t hash, const std::string &record);
+
     /** Force a durability checkpoint now. Throws DavfError{Io}. */
     void checkpoint();
 
@@ -161,7 +170,6 @@ class IndexStore
     void rebuild();
     uint64_t replayTail(uint64_t from);
     void repairTornTail(uint64_t offset, uint64_t end);
-    void putLocked(const std::string &key, const std::string &record);
     void maybeCheckpointLocked();
     void checkpointLockedFree();
     void refreshShapeGauges();

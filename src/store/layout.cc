@@ -1,5 +1,6 @@
 #include "layout.hh"
 
+#include <charconv>
 #include <cstring>
 #include <sstream>
 
@@ -259,6 +260,18 @@ isLegacyRecordName(std::string_view name)
 {
     return name.size() > 6 && name.substr(0, 2) == "r-"
         && name.substr(name.size() - 4) == ".rec";
+}
+
+bool
+legacyRecordNameHash(std::string_view name, uint64_t &hash)
+{
+    if (!isLegacyRecordName(name))
+        return false;
+    const std::string_view hex = name.substr(2, name.size() - 6);
+    const auto [end, ec] =
+        std::from_chars(hex.data(), hex.data() + hex.size(), hash, 16);
+    return ec == std::errc() && end == hex.data() + hex.size()
+        && hex.size() <= 16;
 }
 
 std::string

@@ -136,6 +136,10 @@ std::string legacyRecordFileName(const std::string &key);
 
 /** Is @p name shaped like a legacy per-file record ("r-*.rec")? */
 bool isLegacyRecordName(std::string_view name);
+
+/** The key hash a legacy record file name carries ("r-<hex>.rec"),
+ * or false when @p name does not spell one. */
+bool legacyRecordNameHash(std::string_view name, uint64_t &hash);
 /// @}
 
 /** Index header page (page 0 of index.davf). */

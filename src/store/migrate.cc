@@ -95,36 +95,49 @@ migrateStore(const std::string &dir)
         if (file)
             contents << file.rdbuf();
         auto parsed = parseRecordText(contents.str());
-        if (!file || !parsed) {
+        uint64_t name_hash = 0;
+        if (file && !parsed && recordTextFutureVersion(contents.str())
+            && legacyRecordNameHash(path.filename().string(),
+                                    name_hash)) {
+            // A newer grammar's record: carried over byte for byte
+            // (never quarantined), keyed by the hash its name carries.
+            migrate_point.fire();
+            store.putRecordUnder(name_hash, contents.str());
+            ++report.future;
+            metrics.migrated.add(1);
+        } else if (!file || !parsed) {
             // Damaged legacy record: evidence, never deleted.
             quarantineFile(dir, path);
             ++report.quarantined;
             metrics.quarantined.add(1);
             metrics.remaining.add(-1);
             continue;
-        }
-        const std::string &key = parsed.value().first;
-        const std::string &payload = parsed.value().second;
-
-        // The record's legacy file may only disappear once the index
-        // serves the key. If the index already does (an interrupted
-        // earlier migration, or the key was re-stored since), the
-        // legacy copy is shadowed and redundant either way.
-        const auto looked = store.lookup(key);
-        if (looked.status == IndexStore::LookupStatus::Hit) {
-            ++report.alreadyIndexed;
         } else {
-            migrate_point.fire();
-            // Re-canonicalize: lenient legacy parsing admits cosmetic
-            // variants, the segment file stores exactly one form. The
-            // payload bytes — the part replies are built from — are
-            // preserved verbatim.
-            store.putRecord(key, serializeRecordText(key, payload));
-            ++report.migrated;
-            metrics.migrated.add(1);
+            const std::string &key = parsed.value().first;
+            const std::string &payload = parsed.value().second;
+
+            // The record's legacy file may only disappear once the
+            // index serves the key. If the index already does (an
+            // interrupted earlier migration, or the key was re-stored
+            // since), the legacy copy is shadowed and redundant either
+            // way.
+            const auto looked = store.lookup(key);
+            if (looked.status == IndexStore::LookupStatus::Hit) {
+                ++report.alreadyIndexed;
+            } else {
+                migrate_point.fire();
+                // Re-canonicalize: lenient legacy parsing admits
+                // cosmetic variants, the segment file stores exactly
+                // one form. The payload bytes — the part replies are
+                // built from — are preserved verbatim.
+                store.putRecord(key, serializeRecordText(key, payload));
+                ++report.migrated;
+                metrics.migrated.add(1);
+            }
         }
         // The append above is durable (fdatasync) before this unlink,
-        // so a crash between the two only re-runs the skip branch.
+        // so a crash between the two only re-runs this record: the
+        // skip branch, or one more superseding future-version copy.
         fs::remove(path, ec);
         if (ec) {
             davf_warn("cannot remove migrated legacy record '",

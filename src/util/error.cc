@@ -12,6 +12,7 @@ errorKindName(ErrorKind kind)
       case ErrorKind::OutOfRange:        return "out-of-range";
       case ErrorKind::Io:                return "io";
       case ErrorKind::Timeout:           return "timeout";
+      case ErrorKind::Busy:              return "busy";
       case ErrorKind::ExcessiveFailures: return "excessive-failures";
       case ErrorKind::Internal:          return "internal";
     }

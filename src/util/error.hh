@@ -38,6 +38,7 @@ enum class ErrorKind : uint8_t {
     OutOfRange,        ///< Numeric parameter outside the valid domain.
     Io,                ///< File open/read/write failure.
     Timeout,           ///< Work exceeded its wall-clock budget.
+    Busy,              ///< Another process holds the resource exclusively.
     ExcessiveFailures, ///< Too many injections failed; result untrusted.
     Internal,          ///< Escaped lower-level failure, wrapped.
 };

@@ -851,15 +851,14 @@ TEST(Campaign, ProcessIsolationIsBitIdenticalToThreadMode)
     std::remove(thread_csv.c_str());
 }
 
-TEST(Campaign, TsimModesAreBitIdenticalAcrossIsolation)
+TEST(Campaign, ContinuationBudgetKeepsResultsBitIdenticalAcrossIsolation)
 {
-    // The lane-parallel cone simulator and the cross-delay sweep reuse
-    // are engine-level speed knobs: a campaign run with them disabled
-    // must produce the same journal and CSV bytes as the default run,
-    // in thread mode and under process isolation — so supervised fleets
-    // may mix workers with either setting.
-    const std::string ref_ckpt = tempPath("tsim_ref.ckpt");
-    const std::string ref_csv = tempPath("tsim_ref.csv");
+    // A continuation budget sends every continuation through its own
+    // lane batch (and turns off cross-delay reuse); a budget nothing
+    // reaches must leave the journal and CSV bytes of the default run
+    // untouched, in thread mode and in supervised worker processes.
+    const std::string ref_ckpt = tempPath("budget_ref.ckpt");
+    const std::string ref_csv = tempPath("budget_ref.csv");
     {
         CampaignFixture fixture;
         CampaignOptions opts = fixture.options();
@@ -873,40 +872,22 @@ TEST(Campaign, TsimModesAreBitIdenticalAcrossIsolation)
     std::remove(ref_ckpt.c_str());
     std::remove(ref_csv.c_str());
 
-    {
-        const std::string ckpt = tempPath("tsim_scalar.ckpt");
-        const std::string csv = tempPath("tsim_scalar.csv");
+    for (unsigned workers : {0u, 2u}) {
+        const std::string ckpt = tempPath("budget.ckpt");
+        const std::string csv = tempPath("budget.csv");
         CampaignFixture fixture;
-        CampaignOptions opts = fixture.options();
-        opts.vectorTsim = false;
-        opts.tsimLanes = 1;
-        opts.checkpointPath = ckpt;
-        opts.csvPath = csv;
-        Campaign campaign(*fixture.engine, *fixture.registry, opts);
-        EXPECT_FALSE(campaign.run().interrupted);
-        EXPECT_EQ(slurp(ckpt), ref_journal) << "thread mode";
-        EXPECT_EQ(slurp(csv), ref_csv_bytes) << "thread mode";
-        std::remove(ckpt.c_str());
-        std::remove(csv.c_str());
-    }
-
-    {
-        // Scalar-tsim supervisor driving default-configured workers:
-        // the two paths mix freely within one campaign.
-        const std::string ckpt = tempPath("tsim_proc.ckpt");
-        const std::string csv = tempPath("tsim_proc.csv");
-        CampaignFixture fixture;
-        CampaignOptions opts = processOptions(fixture, 2);
-        opts.vectorTsim = false;
-        opts.tsimLanes = 1;
+        CampaignOptions opts = workers == 0
+            ? fixture.options()
+            : processOptions(fixture, workers);
+        opts.injectionTimeoutMs = 1e9;
         opts.checkpointPath = ckpt;
         opts.csvPath = csv;
         Campaign campaign(*fixture.engine, *fixture.registry, opts);
         const CampaignSummary summary = campaign.run();
         EXPECT_FALSE(summary.interrupted);
         EXPECT_EQ(summary.cellsFailed, 0u);
-        EXPECT_EQ(slurp(ckpt), ref_journal) << "process mode";
-        EXPECT_EQ(slurp(csv), ref_csv_bytes) << "process mode";
+        EXPECT_EQ(slurp(ckpt), ref_journal) << workers << " workers";
+        EXPECT_EQ(slurp(csv), ref_csv_bytes) << workers << " workers";
         std::remove(ckpt.c_str());
         std::remove(csv.c_str());
     }

@@ -329,6 +329,34 @@ TEST(StoreCrash, PublishFailureIsNonFatalAndCounted)
     fs::remove_all(dir);
 }
 
+TEST(StoreCrash, DiskTierOpenFaultFailsTheOpen)
+{
+    // Only a lost index.lock may leave a store memory-only. An I/O
+    // fault while the disk tier opens (the spec DAVF_TEST_CRASHPOINT=
+    // index.bucket_write=throw arms) must fail the constructor, or the
+    // store would count writes that never persist.
+    const std::string dir = tempPath("store_openfail");
+    fs::remove_all(dir);
+    {
+        ArmGuard armed("index.bucket_write=throw");
+        try {
+            service::ResultStore store({.dir = dir, .memCapacity = 8});
+            store.store("k1", "payload-1");
+            ADD_FAILURE() << "open survived; indexed=" << store.indexed()
+                          << " writes=" << store.stats().writes;
+        } catch (const DavfError &error) {
+            EXPECT_NE(error.kind(), ErrorKind::Busy) << error.what();
+        }
+    }
+    // Disarmed, the same directory opens with its disk tier.
+    service::ResultStore store({.dir = dir, .memCapacity = 8});
+    EXPECT_TRUE(store.indexed());
+    store.store("k1", "payload-1");
+    EXPECT_EQ(store.stats().writes, 1u);
+    EXPECT_EQ(store.indexStats()->keys, 1u);
+    fs::remove_all(dir);
+}
+
 TEST(StoreCrash, EnospcMidRecordIsAMissNextTimeNotACrash)
 {
     const std::string dir = tempPath("store_enospc");

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 
 #include "src/builder/ecc.hh"
 #include "src/campaign/checkpoint.hh"
@@ -31,6 +32,7 @@
 #include "src/isa/assembler.hh"
 #include "src/isa/benchmarks.hh"
 #include "src/util/rng.hh"
+#include "tests/engine_oracle.hh"
 #include "tests/helpers.hh"
 
 namespace davf {
@@ -563,16 +565,86 @@ TEST(Engine, SavfDeterministicAcrossThreads)
 }
 
 /**
- * @name Vector-vs-scalar differential suite
+ * @name Oracle differential suite
  *
- * The engine's bit-parallel path (EngineOptions::vectorize) must be a
- * pure speed knob: byte-identical InjectionCycleOutcomes, aggregates,
- * and JSON reports against the scalar reference, at any lane width,
- * thread count, shard range, and across checkpoint/resume — that is
- * what keeps davf_serve's persistent store valid regardless of which
- * path computed a record.
+ * The engine computes every injection cycle in lane batches; the
+ * reference semantics live in tests/engine_oracle.hh, which recomputes
+ * the same outcomes one wire and one continuation at a time from the
+ * engine's single-injection primitives. Each suite below compares three
+ * things: the oracle, a default run (shared 64-lane batches), and a run
+ * with a continuation budget (every continuation alone in its batch).
+ * All three must agree byte for byte — outcomes, aggregates, JSON —
+ * at any thread count, shard range, and across checkpoint/resume; that
+ * is what keeps davf_serve's persistent store valid. The budgeted runs
+ * also prove, from the engine's own counters, that they resolved
+ * several batches per round and several rounds per cycle.
  */
 /// @{
+
+/** A budget no continuation reaches: selects solo-lane batches only. */
+constexpr double kSoloBudgetMs = 1e9;
+
+SamplingConfig
+soloLanes(SamplingConfig config)
+{
+    config.injectionTimeoutMs = kSoloBudgetMs;
+    return config;
+}
+
+/** The engine counters @p run leaves behind, `_ns` timings masked. */
+template <typename Fn>
+std::map<std::string, uint64_t>
+countersOf(Fn &&run)
+{
+    obs::MetricsRegistry::instance().reset();
+    obs::MetricsRegistry::setEnabled(true);
+    run();
+    obs::MetricsRegistry::setEnabled(false);
+    std::map<std::string, uint64_t> counters =
+        obs::MetricsRegistry::instance().snapshot().counters;
+    obs::MetricsRegistry::instance().reset();
+    for (auto it = counters.begin(); it != counters.end();) {
+        const std::string &name = it->first;
+        if (name.size() > 3
+            && name.compare(name.size() - 3, 3, "_ns") == 0)
+            it = counters.erase(it);
+        else
+            ++it;
+    }
+    return counters;
+}
+
+/** The run resolved more than one demand round, and some round took
+ *  more than one batch. */
+void
+expectSeveralBatchesAndRounds(const std::map<std::string, uint64_t> &c)
+{
+    EXPECT_GT(c.at("engine.vector.demand_rounds"), 1u);
+    EXPECT_GT(c.at("engine.vector.batches"),
+              c.at("engine.vector.demand_rounds"));
+}
+
+std::string
+davfJson(const DelayAvfResult &result, double delay_fraction)
+{
+    ReportRow row;
+    row.benchmark = "rnd";
+    row.structure = "Rnd";
+    row.delayFraction = delay_fraction;
+    row.davf = result;
+    return reportJson({row});
+}
+
+std::string
+savfRowJson(const SavfResult &result)
+{
+    ReportRow row;
+    row.kind = "savf";
+    row.benchmark = "rnd";
+    row.structure = "Rnd";
+    row.savf = result;
+    return reportJson({row});
+}
 
 class VectorDifferential : public ::testing::TestWithParam<uint64_t>
 {};
@@ -592,28 +664,23 @@ TEST_P(VectorDifferential, DelayAvfCycleOutcomesBitIdentical)
     config.maxInjectionCycles = 3;
     config.threads = 1;
     for (uint64_t cycle : engine.injectionCycles(config)) {
-        engine.setVectorMode(false);
-        const InjectionCycleOutcome scalar =
-            engine.delayAvfCycle(structure, 0.6, cycle, config);
-        // A narrow lane width exercises multi-batch resolution; the
-        // full width exercises the common case.
-        engine.setVectorMode(true, 4);
-        const InjectionCycleOutcome vec4 =
-            engine.delayAvfCycle(structure, 0.6, cycle, config);
-        engine.setVectorMode(true, 64);
-        const InjectionCycleOutcome vec64 =
-            engine.delayAvfCycle(structure, 0.6, cycle, config);
-        EXPECT_TRUE(scalar == vec4) << "cycle " << cycle;
-        EXPECT_TRUE(scalar == vec64) << "cycle " << cycle;
-        EXPECT_GT(scalar.injections, 0u);
+        const InjectionCycleOutcome oracle =
+            test::oracleCycle(engine, structure, 0.6, cycle, config);
+        EXPECT_TRUE(oracle
+                    == engine.delayAvfCycle(structure, 0.6, cycle, config))
+            << "cycle " << cycle;
+        EXPECT_TRUE(oracle
+                    == engine.delayAvfCycle(structure, 0.6, cycle,
+                                            soloLanes(config)))
+            << "solo lanes, cycle " << cycle;
+        EXPECT_GT(oracle.injections, 0u);
     }
 }
 
 TEST_P(VectorDifferential, ShardRangesAndQuarantineBitIdentical)
 {
     // The process-isolation worker primitive: partial wire ranges and
-    // quarantined injection indices must not disturb bit-identity, so a
-    // supervised campaign may mix vector and scalar workers freely.
+    // quarantined injection indices must not disturb bit-identity.
     const auto circuit = test::makeRandomCircuit(GetParam() + 320, 10,
                                                  60, 16);
     VulnerabilityEngine engine(*circuit.netlist,
@@ -633,19 +700,24 @@ TEST_P(VectorDifferential, ShardRangesAndQuarantineBitIdentical)
     const std::vector<size_t> quarantined = {1, mid, wires.size() - 1};
 
     for (uint64_t cycle : engine.injectionCycles(config)) {
-        engine.setVectorMode(false);
-        const InjectionCycleOutcome lo_s = engine.delayAvfCycle(
-            structure, 0.7, cycle, config, 0, mid, quarantined);
-        const InjectionCycleOutcome hi_s = engine.delayAvfCycle(
-            structure, 0.7, cycle, config, mid, SIZE_MAX, quarantined);
-        engine.setVectorMode(true, 64);
-        const InjectionCycleOutcome lo_v = engine.delayAvfCycle(
-            structure, 0.7, cycle, config, 0, mid, quarantined);
-        const InjectionCycleOutcome hi_v = engine.delayAvfCycle(
-            structure, 0.7, cycle, config, mid, SIZE_MAX, quarantined);
-        EXPECT_TRUE(lo_s == lo_v) << "low shard, cycle " << cycle;
-        EXPECT_TRUE(hi_s == hi_v) << "high shard, cycle " << cycle;
-        EXPECT_GT(lo_s.skipReasons.count("quarantined"), 0u);
+        for (const auto &[begin, end] :
+             {std::pair<size_t, size_t>{0, mid}, {mid, SIZE_MAX}}) {
+            const InjectionCycleOutcome oracle = test::oracleCycle(
+                engine, structure, 0.7, cycle, config, begin, end,
+                quarantined);
+            EXPECT_TRUE(oracle
+                        == engine.delayAvfCycle(structure, 0.7, cycle,
+                                                config, begin, end,
+                                                quarantined))
+                << "shard from " << begin << ", cycle " << cycle;
+            EXPECT_TRUE(oracle
+                        == engine.delayAvfCycle(structure, 0.7, cycle,
+                                                soloLanes(config), begin,
+                                                end, quarantined))
+                << "solo lanes, shard from " << begin << ", cycle "
+                << cycle;
+            EXPECT_GT(oracle.skipReasons.count("quarantined"), 0u);
+        }
     }
 }
 
@@ -666,24 +738,21 @@ TEST(VectorDifferential, DelayAvfJsonBitIdenticalAcrossThreads)
     config.maxInjectionCycles = 4;
     config.recordPerWire = true;
 
-    auto report = [&](bool vectorize, unsigned threads) {
-        engine.setVectorMode(vectorize);
-        config.threads = threads;
-        ReportRow row;
-        row.benchmark = "rnd";
-        row.structure = "Rnd";
-        row.delayFraction = 0.6;
-        row.davf = engine.delayAvf(structure, 0.6, config);
-        return reportJson({row});
+    auto report = [&](const SamplingConfig &base, unsigned threads) {
+        SamplingConfig run = base;
+        run.threads = threads;
+        return davfJson(engine.delayAvf(structure, 0.6, run), 0.6);
     };
 
-    const std::string scalar1 = report(false, 1);
-    const std::string scalar4 = report(false, 4);
-    const std::string vector1 = report(true, 1);
-    const std::string vector4 = report(true, 4);
-    EXPECT_EQ(scalar1, scalar4);
-    EXPECT_EQ(scalar1, vector1);
-    EXPECT_EQ(scalar1, vector4);
+    const std::string oracle =
+        davfJson(test::oracleDelayAvf(engine, structure, 0.6, config), 0.6);
+    EXPECT_EQ(oracle, report(config, 1));
+    EXPECT_EQ(oracle, report(config, 4));
+    const auto counters = countersOf([&] {
+        EXPECT_EQ(oracle, report(soloLanes(config), 1));
+        EXPECT_EQ(oracle, report(soloLanes(config), 4));
+    });
+    expectSeveralBatchesAndRounds(counters);
 }
 
 TEST(VectorDifferential, SavfJsonBitIdenticalAcrossThreads)
@@ -696,43 +765,31 @@ TEST(VectorDifferential, SavfJsonBitIdenticalAcrossThreads)
     const Structure &structure = registry.add("Rnd", "rnd/");
 
     SamplingConfig config;
+    config.cycleFraction = 0.3;
     config.maxInjectionCycles = 4;
 
-    auto report = [&](bool vectorize, unsigned threads) {
-        engine.setVectorMode(vectorize);
-        config.threads = threads;
-        ReportRow row;
-        row.kind = "savf";
-        row.benchmark = "rnd";
-        row.structure = "Rnd";
-        row.savf = engine.savf(structure, config);
-        return reportJson({row});
+    auto report = [&](const SamplingConfig &base, unsigned threads) {
+        SamplingConfig run = base;
+        run.threads = threads;
+        return savfRowJson(engine.savf(structure, run));
     };
 
-    const std::string scalar1 = report(false, 1);
-    const std::string scalar4 = report(false, 4);
-    const std::string vector1 = report(true, 1);
-    const std::string vector4 = report(true, 4);
-    EXPECT_EQ(scalar1, scalar4);
-    EXPECT_EQ(scalar1, vector1);
-    EXPECT_EQ(scalar1, vector4);
-
-    // A narrow lane width forces several batches per task.
-    engine.setVectorMode(true, 3);
-    config.threads = 2;
-    ReportRow row;
-    row.kind = "savf";
-    row.benchmark = "rnd";
-    row.structure = "Rnd";
-    row.savf = engine.savf(structure, config);
-    EXPECT_EQ(scalar1, reportJson({row}));
+    const SavfResult reference =
+        test::oracleSavf(engine, *circuit.netlist, structure, config);
+    ASSERT_GT(reference.aceInjections, 0u);
+    const std::string oracle = savfRowJson(reference);
+    EXPECT_EQ(oracle, report(config, 1));
+    EXPECT_EQ(oracle, report(config, 4));
+    EXPECT_EQ(oracle, report(soloLanes(config), 1));
+    EXPECT_EQ(oracle, report(soloLanes(config), 4));
 }
 
 TEST(VectorDifferential, ResumeMidCellCrossesPaths)
 {
-    // Half the injection cycles computed (and checkpointed) by the
-    // scalar path, the rest by the vector path after a "resume" — the
-    // aggregate must equal an uninterrupted run of either path.
+    // Half the injection cycles computed (and checkpointed) by one
+    // path, the rest by another after a "resume" — oracle, shared
+    // batches and solo lanes in every pairing the test can afford —
+    // must equal the oracle's uninterrupted aggregate.
     const auto circuit = test::makeRandomCircuit(332, 10, 70, 16);
     VulnerabilityEngine engine(*circuit.netlist,
                                CellLibrary::defaultLibrary(),
@@ -746,71 +803,65 @@ TEST(VectorDifferential, ResumeMidCellCrossesPaths)
     config.threads = 2;
     const std::vector<uint64_t> cycles = engine.injectionCycles(config);
     ASSERT_GE(cycles.size(), 2u);
+    const std::string oracle =
+        davfJson(test::oracleDelayAvf(engine, structure, 0.6, config), 0.6);
 
-    engine.setVectorMode(false);
-    DelayAvfProgress capture;
-    std::vector<InjectionCycleOutcome> outcomes;
-    capture.onCycleDone = [&](const InjectionCycleOutcome &outcome) {
-        outcomes.push_back(outcome);
+    auto outcomesOf = [&](const SamplingConfig &run) {
+        DelayAvfProgress capture;
+        std::vector<InjectionCycleOutcome> outcomes;
+        capture.onCycleDone = [&](const InjectionCycleOutcome &outcome) {
+            outcomes.push_back(outcome);
+        };
+        EXPECT_EQ(oracle, davfJson(engine.delayAvf(structure, 0.6, run,
+                                                   &capture),
+                                   0.6));
+        EXPECT_EQ(outcomes.size(), cycles.size());
+        return outcomes;
     };
-    const DelayAvfResult scalar_full =
-        engine.delayAvf(structure, 0.6, config, &capture);
-    ASSERT_EQ(outcomes.size(), cycles.size());
-
-    // Adopt outcomes for the first half of the schedule, as a resumed
-    // campaign would from its journal's partial-cell records.
-    DelayAvfProgress resume;
-    for (const InjectionCycleOutcome &outcome : outcomes) {
-        for (size_t i = 0; i < cycles.size() / 2; ++i) {
-            if (outcome.cycle == cycles[i])
-                resume.completed.push_back(outcome);
+    // Adopt the outcomes of the cycles in [lo, hi) of the schedule, as
+    // a resumed campaign would from its journal's partial-cell records.
+    auto resume = [&](const std::vector<InjectionCycleOutcome> &outcomes,
+                      size_t lo, size_t hi, const SamplingConfig &run) {
+        DelayAvfProgress progress;
+        for (const InjectionCycleOutcome &outcome : outcomes) {
+            for (size_t i = lo; i < hi; ++i) {
+                if (outcome.cycle == cycles[i])
+                    progress.completed.push_back(outcome);
+            }
         }
-    }
-    ASSERT_FALSE(resume.completed.empty());
-
-    engine.setVectorMode(true);
-    const DelayAvfResult resumed =
-        engine.delayAvf(structure, 0.6, config, &resume);
-
-    auto json = [](const DelayAvfResult &result) {
-        ReportRow row;
-        row.benchmark = "rnd";
-        row.structure = "Rnd";
-        row.delayFraction = 0.6;
-        row.davf = result;
-        return reportJson({row});
+        EXPECT_FALSE(progress.completed.empty());
+        return davfJson(engine.delayAvf(structure, 0.6, run, &progress),
+                        0.6);
     };
-    EXPECT_EQ(json(scalar_full), json(resumed));
 
-    // And the mirror image: vector-computed outcomes adopted by a
-    // scalar resume.
-    engine.setVectorMode(true);
-    outcomes.clear();
-    const DelayAvfResult vector_full =
-        engine.delayAvf(structure, 0.6, config, &capture);
-    EXPECT_EQ(json(scalar_full), json(vector_full));
-
-    DelayAvfProgress resume_back;
-    for (const InjectionCycleOutcome &outcome : outcomes) {
-        for (size_t i = cycles.size() / 2; i < cycles.size(); ++i) {
-            if (outcome.cycle == cycles[i])
-                resume_back.completed.push_back(outcome);
-        }
+    const size_t half = cycles.size() / 2;
+    std::vector<InjectionCycleOutcome> oracle_outcomes;
+    for (uint64_t cycle : cycles) {
+        oracle_outcomes.push_back(
+            test::oracleCycle(engine, structure, 0.6, cycle, config));
     }
-    engine.setVectorMode(false);
-    const DelayAvfResult resumed_back =
-        engine.delayAvf(structure, 0.6, config, &resume_back);
-    EXPECT_EQ(json(scalar_full), json(resumed_back));
+    EXPECT_EQ(oracle, resume(oracle_outcomes, 0, half, config));
+
+    std::vector<InjectionCycleOutcome> solo;
+    const auto counters =
+        countersOf([&] { solo = outcomesOf(soloLanes(config)); });
+    expectSeveralBatchesAndRounds(counters);
+    EXPECT_EQ(oracle, resume(solo, 0, half, config));
+
+    const std::vector<InjectionCycleOutcome> shared = outcomesOf(config);
+    EXPECT_EQ(oracle, resume(shared, half, cycles.size(),
+                             soloLanes(config)));
 }
 
+/// @}
 /**
  * @name Lane-parallel timed-simulator differential suite
  *
- * EngineOptions::vectorTsim batches the per-wire cone re-simulations of
- * one injection cycle onto the lane-parallel timed simulator. Like the
- * continuation vector path, it must be a pure speed knob: byte-identical
- * outcomes and reports against the scalar cone loop at any lane count,
- * thread count, and across checkpoint/resume.
+ * The engine batches the per-wire cone re-simulations of one injection
+ * cycle onto the lane-parallel timed simulator. Its outcomes must match
+ * the oracle, whose cones run one at a time on the scalar timed
+ * simulator, whatever the batch occupancy, thread count or continuation
+ * path.
  */
 /// @{
 
@@ -831,22 +882,26 @@ TEST_P(TsimDifferential, CycleOutcomesBitIdenticalAcrossLaneCounts)
     config.cycleFraction = 0.3;
     config.maxInjectionCycles = 3;
     config.threads = 1;
+    ASSERT_GT(engine.sampledWires(structure, config).size(), 8u);
     for (uint64_t cycle : engine.injectionCycles(config)) {
-        engine.setTsimVectorMode(false, 1);
-        const InjectionCycleOutcome scalar =
-            engine.delayAvfCycle(structure, 0.6, cycle, config);
-        // Lane count 1 must degrade to the scalar loop; 4 forces many
-        // small batches; 64 is the common case.
-        for (unsigned lanes : {1u, 4u, 64u}) {
-            engine.setTsimVectorMode(true, lanes);
-            const InjectionCycleOutcome vec =
-                engine.delayAvfCycle(structure, 0.6, cycle, config);
-            EXPECT_TRUE(scalar == vec)
-                << "cycle " << cycle << " lanes " << lanes;
+        // A one-wire shard fills one cone lane, a four-wire shard a
+        // few, and the rest of the structure the common wide batches.
+        for (const auto &[begin, end] :
+             {std::pair<size_t, size_t>{0, 1}, {1, 5}, {5, SIZE_MAX}}) {
+            const InjectionCycleOutcome oracle = test::oracleCycle(
+                engine, structure, 0.6, cycle, config, begin, end);
+            EXPECT_TRUE(oracle
+                        == engine.delayAvfCycle(structure, 0.6, cycle,
+                                                config, begin, end))
+                << "cycle " << cycle << " shard from " << begin;
+            EXPECT_TRUE(oracle
+                        == engine.delayAvfCycle(structure, 0.6, cycle,
+                                                soloLanes(config), begin,
+                                                end))
+                << "solo lanes, cycle " << cycle << " shard from "
+                << begin;
         }
-        EXPECT_GT(scalar.injections, 0u);
     }
-    engine.setTsimVectorMode(true, 64);
 }
 
 TEST_P(TsimDifferential, BatchedVerdictsMatchBruteForce)
@@ -871,7 +926,6 @@ TEST_P(TsimDifferential, BatchedVerdictsMatchBruteForce)
         engine.sampledWires(structure, config);
     const double delay_ps = 0.7 * engine.clockPeriod();
 
-    engine.setTsimVectorMode(true, 64);
     for (uint64_t cycle : engine.injectionCycles(config)) {
         const InjectionCycleOutcome outcome =
             engine.delayAvfCycle(structure, 0.7, cycle, config);
@@ -891,7 +945,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TsimDifferential,
 
 TEST(TsimDifferential, DelayAvfJsonBitIdenticalAcrossThreadsAndLanes)
 {
-    const auto circuit = test::makeRandomCircuit(530, 12, 90, 20);
+    const auto circuit = test::makeRandomCircuit(301, 12, 90, 20);
     VulnerabilityEngine engine(*circuit.netlist,
                                CellLibrary::defaultLibrary(),
                                *circuit.workload);
@@ -903,96 +957,165 @@ TEST(TsimDifferential, DelayAvfJsonBitIdenticalAcrossThreadsAndLanes)
     config.maxInjectionCycles = 4;
     config.recordPerWire = true;
 
-    auto report = [&](bool vector_tsim, unsigned lanes,
-                      unsigned threads) {
-        engine.setTsimVectorMode(vector_tsim, lanes);
-        config.threads = threads;
-        ReportRow row;
-        row.benchmark = "rnd";
-        row.structure = "Rnd";
-        row.delayFraction = 0.6;
-        row.davf = engine.delayAvf(structure, 0.6, config);
-        return reportJson({row});
+    auto report = [&](const SamplingConfig &base, unsigned threads) {
+        SamplingConfig run = base;
+        run.threads = threads;
+        return davfJson(engine.delayAvf(structure, 0.6, run), 0.6);
     };
 
-    const std::string scalar1 = report(false, 1, 1);
-    EXPECT_EQ(scalar1, report(false, 1, 4));
-    EXPECT_EQ(scalar1, report(true, 4, 1));
-    EXPECT_EQ(scalar1, report(true, 64, 1));
-    EXPECT_EQ(scalar1, report(true, 64, 4));
-    EXPECT_EQ(scalar1, report(true, 4, 4));
-    engine.setTsimVectorMode(true, 64);
+    const std::string oracle =
+        davfJson(test::oracleDelayAvf(engine, structure, 0.6, config), 0.6);
+    EXPECT_EQ(oracle, report(config, 1));
+    EXPECT_EQ(oracle, report(config, 4));
+    const auto counters = countersOf([&] {
+        EXPECT_EQ(oracle, report(soloLanes(config), 1));
+        EXPECT_EQ(oracle, report(soloLanes(config), 4));
+    });
+    expectSeveralBatchesAndRounds(counters);
+    // Some cycle needed more than one round: a lazy ORACE chain went
+    // past its first error.
+    EXPECT_GT(counters.at("engine.vector.demand_rounds"),
+              counters.at("engine.cycles_computed"));
+    EXPECT_GT(counters.at("engine.tsim.batches"), 0u);
 }
 
-TEST(TsimDifferential, ResumeCrossesTsimPaths)
+/// @}
+/**
+ * @name Failure isolation inside shared batches
+ *
+ * A continuation that throws inside a shared lane batch must cost only
+ * the injections that depend on it: the batch is redone one
+ * continuation at a time, the one that still throws is charged to
+ * every wire whose verdict needs it, and everything else matches the
+ * oracle.
+ */
+/// @{
+
+/**
+ * A TraceWorkload whose per-lane observation throws for one error set:
+ * at the first check after injection cycle `cycle`, a lane whose flops
+ * differ from the golden lane's in exactly `target` fails.
+ */
+class ThrowingWorkload : public TraceWorkload
 {
-    // Half the injection cycles checkpointed by the scalar cone loop,
-    // the rest computed lane-batched after a resume — and the mirror
-    // image — must equal an uninterrupted run of either flavor.
-    const auto circuit = test::makeRandomCircuit(531, 10, 70, 16);
-    VulnerabilityEngine engine(*circuit.netlist,
-                               CellLibrary::defaultLibrary(),
-                               *circuit.workload);
-    StructureRegistry registry(*circuit.netlist);
+  public:
+    ThrowingWorkload(const Netlist &netlist, CellId sink, uint64_t cycles)
+        : TraceWorkload(sink, cycles), nl(&netlist)
+    {}
+
+    using TraceWorkload::outputTrace;
+
+    uint64_t cycle = 0;
+    std::vector<CycleSimulator::Force> target;
+    mutable unsigned throws = 0; ///< Observations that threw so far.
+
+    std::vector<uint32_t>
+    outputTrace(const VecSimulator &sim, unsigned lane) const override
+    {
+        if (lane != 0 && sim.cycle() == cycle + 1
+            && flopErrors(sim, lane) == target) {
+            ++throws;
+            throw std::runtime_error("per-lane observation failed");
+        }
+        return TraceWorkload::outputTrace(sim, lane);
+    }
+
+  private:
+    std::vector<CycleSimulator::Force>
+    flopErrors(const VecSimulator &sim, unsigned lane) const
+    {
+        std::vector<CycleSimulator::Force> errors;
+        for (StateElemId elem = 0; elem < nl->numStateElems(); ++elem) {
+            const StateElem &state = nl->stateElem(elem);
+            if (state.kind != StateElemKind::Flop)
+                continue;
+            const NetId q = nl->cell(state.cell).outputs[0];
+            if (sim.value(q, lane) != sim.value(q, 0))
+                errors.push_back({elem, sim.value(q, lane)});
+        }
+        return errors;
+    }
+
+    const Netlist *nl;
+};
+
+TEST(FailureIsolation, ThrowingContinuationChargesOnlyItsWires)
+{
+    const auto circuit = test::makeRandomCircuit(332, 12, 90, 20);
+    const Netlist &nl = *circuit.netlist;
+    ThrowingWorkload workload(nl, circuit.sinkCell, circuit.numCycles);
+    VulnerabilityEngine engine(nl, CellLibrary::defaultLibrary(),
+                               workload);
+    StructureRegistry registry(nl);
     const Structure &structure = registry.add("Rnd", "rnd/");
 
     SamplingConfig config;
     config.cycleFraction = 0.3;
     config.maxInjectionCycles = 4;
-    config.threads = 2;
-    const std::vector<uint64_t> cycles = engine.injectionCycles(config);
-    ASSERT_GE(cycles.size(), 2u);
+    config.threads = 1;
+    const double delay_fraction = 0.9;
+    const double delay = delay_fraction * engine.clockPeriod();
+    const std::vector<WireId> wires =
+        engine.sampledWires(structure, config);
 
-    auto json = [](const DelayAvfResult &result) {
-        ReportRow row;
-        row.benchmark = "rnd";
-        row.structure = "Rnd";
-        row.delayFraction = 0.6;
-        row.davf = result;
-        return reportJson({row});
+    // The target: a multi-flop error set that some wire produces and
+    // that no other error set of the cycle shares its flops with, so
+    // the workload's flop comparison singles out exactly its demand.
+    auto allFlops = [&](const std::vector<CycleSimulator::Force> &set) {
+        return std::all_of(set.begin(), set.end(), [&](const auto &e) {
+            return nl.stateElem(e.first).kind == StateElemKind::Flop;
+        });
     };
-
-    engine.setTsimVectorMode(false, 1);
-    DelayAvfProgress capture;
-    std::vector<InjectionCycleOutcome> outcomes;
-    capture.onCycleDone = [&](const InjectionCycleOutcome &outcome) {
-        outcomes.push_back(outcome);
-    };
-    const DelayAvfResult scalar_full =
-        engine.delayAvf(structure, 0.6, config, &capture);
-    ASSERT_EQ(outcomes.size(), cycles.size());
-
-    DelayAvfProgress resume;
-    for (const InjectionCycleOutcome &outcome : outcomes) {
-        for (size_t i = 0; i < cycles.size() / 2; ++i) {
-            if (outcome.cycle == cycles[i])
-                resume.completed.push_back(outcome);
+    for (uint64_t cycle : engine.injectionCycles(config)) {
+        std::map<std::vector<CycleSimulator::Force>, size_t> sets;
+        for (WireId wire : wires)
+            ++sets[engine.dynamicErrors(wire, cycle, delay)];
+        for (const auto &[set, count] : sets) {
+            if (set.size() < 2 || !allFlops(set))
+                continue;
+            bool unique = true;
+            for (const auto &[other, other_count] : sets) {
+                std::vector<CycleSimulator::Force> flops;
+                for (const auto &e : other) {
+                    if (nl.stateElem(e.first).kind == StateElemKind::Flop)
+                        flops.push_back(e);
+                }
+                unique &= other == set || flops != set;
+            }
+            if (unique) {
+                workload.cycle = cycle;
+                workload.target = set;
+                break;
+            }
         }
+        if (!workload.target.empty())
+            break;
     }
-    ASSERT_FALSE(resume.completed.empty());
-    engine.setTsimVectorMode(true, 64);
-    const DelayAvfResult resumed =
-        engine.delayAvf(structure, 0.6, config, &resume);
-    EXPECT_EQ(json(scalar_full), json(resumed));
+    ASSERT_FALSE(workload.target.empty()) << "no isolatable error set";
 
-    engine.setTsimVectorMode(true, 64);
-    outcomes.clear();
-    const DelayAvfResult vector_full =
-        engine.delayAvf(structure, 0.6, config, &capture);
-    EXPECT_EQ(json(scalar_full), json(vector_full));
+    const InjectionCycleOutcome expected = test::oracleCycle(
+        engine, structure, delay_fraction, workload.cycle, config, 0,
+        SIZE_MAX, {}, &workload.target);
+    ASSERT_GT(expected.skipReasons.count("exception"), 0u);
 
-    DelayAvfProgress resume_back;
-    for (const InjectionCycleOutcome &outcome : outcomes) {
-        for (size_t i = cycles.size() / 2; i < cycles.size(); ++i) {
-            if (outcome.cycle == cycles[i])
-                resume_back.completed.push_back(outcome);
-        }
+    // Shared batches throw once in the batch and once more when the
+    // failing continuation is redone alone; solo lanes throw once.
+    for (const auto &[run, throws] :
+         {std::pair{config, 2u}, std::pair{soloLanes(config), 1u}}) {
+        workload.throws = 0;
+        InjectionCycleOutcome got = engine.delayAvfCycle(
+            structure, delay_fraction, workload.cycle, run);
+        EXPECT_EQ(workload.throws, throws);
+        // The charged wires' first ORACE sims may have run alongside
+        // the failing GroupACE sim in the first demand round; the
+        // oracle, which checks GroupACE first, never runs them.
+        EXPECT_GE(got.uniqueGroupSims, expected.uniqueGroupSims);
+        got.uniqueGroupSims = expected.uniqueGroupSims;
+        EXPECT_TRUE(got == expected)
+            << "skipped " << got.skippedErrors << " vs "
+            << expected.skippedErrors << ", delayAce " << got.delayAce
+            << " vs " << expected.delayAce;
     }
-    engine.setTsimVectorMode(false, 1);
-    const DelayAvfResult resumed_back =
-        engine.delayAvf(structure, 0.6, config, &resume_back);
-    EXPECT_EQ(json(scalar_full), json(resumed_back));
-    engine.setTsimVectorMode(true, 64);
 }
 
 /// @}
@@ -1038,22 +1161,17 @@ TEST(SweepReuse, MultiDelaySweepBitIdenticalToIndependentRuns)
         independent[d] = row_json(d);
 
     for (unsigned threads : {1u, 4u}) {
-        for (bool vector_tsim : {true, false}) {
-            config.threads = threads;
-            engine.setTsimVectorMode(vector_tsim, 64);
-            engine.beginDelaySweep(fractions);
-            for (double d : fractions) {
-                EXPECT_EQ(independent.at(d), row_json(d))
-                    << "d " << d << " threads " << threads
-                    << " vectorTsim " << vector_tsim;
-            }
-            engine.endDelaySweep();
+        config.threads = threads;
+        engine.beginDelaySweep(fractions);
+        for (double d : fractions) {
+            EXPECT_EQ(independent.at(d), row_json(d))
+                << "d " << d << " threads " << threads;
         }
+        engine.endDelaySweep();
     }
 
     // Visiting the delay list in descending order must not matter.
     config.threads = 2;
-    engine.setTsimVectorMode(true, 64);
     engine.beginDelaySweep(fractions);
     for (auto it = fractions.rbegin(); it != fractions.rend(); ++it)
         EXPECT_EQ(independent.at(*it), row_json(*it)) << "d " << *it;
@@ -1074,31 +1192,18 @@ TEST(SweepReuse, ReuseCountersAreScheduleInvariant)
     config.maxInjectionCycles = 3;
     const std::vector<double> fractions = {0.3, 0.6, 0.9};
 
-    auto countersOf = [&](unsigned threads) {
-        obs::MetricsRegistry::instance().reset();
-        obs::MetricsRegistry::setEnabled(true);
+    auto sweepCounters = [&](unsigned threads) {
         config.threads = threads;
-        engine.beginDelaySweep(fractions);
-        for (double d : fractions)
-            engine.delayAvf(structure, d, config);
-        engine.endDelaySweep();
-        obs::MetricsRegistry::setEnabled(false);
-        std::map<std::string, uint64_t> counters =
-            obs::MetricsRegistry::instance().snapshot().counters;
-        obs::MetricsRegistry::instance().reset();
-        for (auto it = counters.begin(); it != counters.end();) {
-            const std::string &name = it->first;
-            if (name.size() > 3
-                && name.compare(name.size() - 3, 3, "_ns") == 0)
-                it = counters.erase(it);
-            else
-                ++it;
-        }
-        return counters;
+        return countersOf([&] {
+            engine.beginDelaySweep(fractions);
+            for (double d : fractions)
+                engine.delayAvf(structure, d, config);
+            engine.endDelaySweep();
+        });
     };
 
-    const auto one = countersOf(1);
-    EXPECT_EQ(one, countersOf(4));
+    const auto one = sweepCounters(1);
+    EXPECT_EQ(one, sweepCounters(4));
     // The second and third delay values run entirely out of the shared
     // caches' golden contexts, and verdict reuse must actually fire.
     EXPECT_GT(one.at("engine.tsim.ctx_reuse"), 0u);
@@ -1113,7 +1218,7 @@ TEST(Observability, MetricsAndTracingNeverPerturbResults)
     // The observability layer's contract: with collection and tracing
     // on, every result byte — report JSON, per-cycle checkpoint/store
     // records — is identical to a run with them off, across thread
-    // counts and the vector/scalar switch. Metrics may only *observe*.
+    // counts and continuation paths. Metrics may only *observe*.
     const auto circuit = test::makeRandomCircuit(333, 10, 70, 16);
     VulnerabilityEngine engine(*circuit.netlist,
                                CellLibrary::defaultLibrary(),
@@ -1129,15 +1234,14 @@ TEST(Observability, MetricsAndTracingNeverPerturbResults)
     // One run's complete byte surface: the report JSON plus every
     // serialized per-cycle outcome (the checkpoint-journal / result-
     // store payload), in cycle order.
-    auto resultBytes = [&](bool observe, bool vectorize,
-                           unsigned threads) {
+    auto resultBytes = [&](bool observe, bool solo, unsigned threads) {
         obs::MetricsRegistry::instance().reset();
         obs::Trace::clear();
         obs::MetricsRegistry::setEnabled(observe);
         obs::Trace::setEnabled(observe);
 
-        engine.setVectorMode(vectorize);
         config.threads = threads;
+        const SamplingConfig run = solo ? soloLanes(config) : config;
         DelayAvfProgress capture;
         std::map<uint64_t, std::string> records;
         capture.onCycleDone = [&](const InjectionCycleOutcome &out) {
@@ -1147,7 +1251,7 @@ TEST(Observability, MetricsAndTracingNeverPerturbResults)
         row.benchmark = "rnd";
         row.structure = "Rnd";
         row.delayFraction = 0.6;
-        row.davf = engine.delayAvf(structure, 0.6, config, &capture);
+        row.davf = engine.delayAvf(structure, 0.6, run, &capture);
 
         obs::MetricsRegistry::setEnabled(false);
         obs::Trace::setEnabled(false);
@@ -1162,19 +1266,20 @@ TEST(Observability, MetricsAndTracingNeverPerturbResults)
         return bytes;
     };
 
-    const std::string baseline = resultBytes(false, true, 1);
-    EXPECT_EQ(baseline, resultBytes(false, false, 4));
-    EXPECT_EQ(baseline, resultBytes(true, true, 1));
-    EXPECT_EQ(baseline, resultBytes(true, true, 4));
+    const std::string baseline = resultBytes(false, false, 1);
+    EXPECT_EQ(baseline, resultBytes(false, true, 4));
     EXPECT_EQ(baseline, resultBytes(true, false, 1));
     EXPECT_EQ(baseline, resultBytes(true, false, 4));
+    EXPECT_EQ(baseline, resultBytes(true, true, 1));
+    EXPECT_EQ(baseline, resultBytes(true, true, 4));
 }
 
 TEST(Observability, EngineCountersAreDeterministicAcrossSchedules)
 {
     // The non-timing counters derive from per-cycle outcomes, so the
     // snapshot (with `_ns` entries masked out) must not depend on the
-    // thread count or the vector/scalar switch's batching.
+    // thread count; across continuation paths only the batch shapes
+    // may differ.
     const auto circuit = test::makeRandomCircuit(334, 10, 70, 16);
     VulnerabilityEngine engine(*circuit.netlist,
                                CellLibrary::defaultLibrary(),
@@ -1186,42 +1291,30 @@ TEST(Observability, EngineCountersAreDeterministicAcrossSchedules)
     config.cycleFraction = 0.3;
     config.maxInjectionCycles = 4;
 
-    auto countersOf = [&](bool vectorize, unsigned threads) {
-        obs::MetricsRegistry::instance().reset();
-        obs::MetricsRegistry::setEnabled(true);
-        engine.setVectorMode(vectorize, vectorize ? 4 : 64);
-        config.threads = threads;
-        engine.delayAvf(structure, 0.6, config);
-        obs::MetricsRegistry::setEnabled(false);
-        std::map<std::string, uint64_t> counters =
-            obs::MetricsRegistry::instance().snapshot().counters;
-        obs::MetricsRegistry::instance().reset();
-        for (auto it = counters.begin(); it != counters.end();) {
-            const std::string &name = it->first;
-            if (name.size() > 3
-                && name.compare(name.size() - 3, 3, "_ns") == 0)
-                it = counters.erase(it);
-            else
-                ++it;
-        }
-        return counters;
+    auto runCounters = [&](bool solo, unsigned threads) {
+        SamplingConfig run = solo ? soloLanes(config) : config;
+        run.threads = threads;
+        return countersOf([&] { engine.delayAvf(structure, 0.6, run); });
     };
 
-    const auto vector1 = countersOf(true, 1);
-    EXPECT_EQ(vector1, countersOf(true, 4));
-    EXPECT_GT(vector1.at("engine.cycles_computed"), 0u);
-    EXPECT_GT(vector1.at("engine.vector.batches"), 0u);
+    const auto shared1 = runCounters(false, 1);
+    EXPECT_EQ(shared1, runCounters(false, 4));
+    EXPECT_GT(shared1.at("engine.cycles_computed"), 0u);
+    EXPECT_GT(shared1.at("engine.vector.batches"), 0u);
 
-    const auto scalar1 = countersOf(false, 1);
-    EXPECT_EQ(scalar1, countersOf(false, 4));
-    EXPECT_EQ(scalar1.at("engine.injections"),
-              vector1.at("engine.injections"));
-    // The vector path's memo-hit accounting replays the scalar demand
-    // order, so the hit counters agree exactly across paths.
-    EXPECT_EQ(scalar1.at("engine.memo_hits_group"),
-              vector1.at("engine.memo_hits_group"));
-    EXPECT_EQ(scalar1.at("engine.memo_hits_orace"),
-              vector1.at("engine.memo_hits_orace"));
+    const auto solo1 = runCounters(true, 1);
+    EXPECT_EQ(solo1, runCounters(true, 4));
+    EXPECT_EQ(solo1.at("engine.vector.lanes_used"),
+              solo1.at("engine.vector.batches"))
+        << "one continuation per solo batch";
+    // Memo hits are replayed from the same lazy demand order on both
+    // paths, so everything but the batch shapes agrees.
+    for (const char *name :
+         {"engine.injections", "engine.group_sims",
+          "engine.memo_hits_group", "engine.memo_hits_orace",
+          "engine.vector.demand_rounds", "engine.tsim.batches"}) {
+        EXPECT_EQ(shared1.at(name), solo1.at(name)) << name;
+    }
 }
 
 /// @}
@@ -1267,15 +1360,13 @@ TEST(VectorConvergence, SelfClearingFaultIsNeverAce)
     config.maxInjectionCycles = 4;
     config.threads = 1;
 
-    engine.setVectorMode(false);
-    const SavfResult scalar = engine.savf(structure, config);
-    engine.setVectorMode(true);
-    const SavfResult vec = engine.savf(structure, config);
+    const SavfResult shared = engine.savf(structure, config);
+    const SavfResult solo = engine.savf(structure, soloLanes(config));
 
-    EXPECT_GT(scalar.injections, 0u);
-    EXPECT_EQ(scalar.aceInjections, 0u);
-    EXPECT_DOUBLE_EQ(scalar.savf, 0.0);
-    EXPECT_EQ(savfJson("sc", "a", scalar), savfJson("sc", "a", vec));
+    EXPECT_GT(shared.injections, 0u);
+    EXPECT_EQ(shared.aceInjections, 0u);
+    EXPECT_DOUBLE_EQ(shared.savf, 0.0);
+    EXPECT_EQ(savfJson("sc", "a", shared), savfJson("sc", "a", solo));
 
     // Same through the edge-forcing mechanism.
     const CycleSimulator::Force wrong[] = {
@@ -1316,15 +1407,13 @@ TEST(VectorConvergence, LatentFaultCorruptingLateOutputIsSdc)
     config.maxInjectionCycles = 3;
     config.threads = 1;
 
-    engine.setVectorMode(false);
-    const SavfResult scalar = engine.savf(structure, config);
-    engine.setVectorMode(true);
-    const SavfResult vec = engine.savf(structure, config);
+    const SavfResult shared = engine.savf(structure, config);
+    const SavfResult solo = engine.savf(structure, soloLanes(config));
 
-    EXPECT_GT(scalar.aceInjections, 0u);
-    EXPECT_EQ(scalar.sdc, scalar.aceInjections);
-    EXPECT_EQ(savfJson("sh", "head", scalar),
-              savfJson("sh", "head", vec));
+    EXPECT_GT(shared.aceInjections, 0u);
+    EXPECT_EQ(shared.sdc, shared.aceInjections);
+    EXPECT_EQ(savfJson("sh", "head", shared),
+              savfJson("sh", "head", solo));
 
     // A forced wrong head value early in the run is a guaranteed
     // (delayed) SDC: the trace prefix matches for 4 more cycles first.

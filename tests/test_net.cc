@@ -590,36 +590,6 @@ TEST(NetCampaign, BitIdenticalToThreadModeAtAnyNodeCount)
     }
 }
 
-TEST(NetCampaign, ScalarTsimCoordinatorMatchesReference)
-{
-    // The coordinator's local engine runs with lane batching and sweep
-    // reuse disabled while the remote workers keep their defaults: the
-    // tsim knobs are engine-local speed switches, so the mixed fleet
-    // still reproduces the thread-mode reference byte for byte.
-    NetFixture fixture;
-    NetHarness harness(fixture);
-    harness.spawnWorker("w0");
-    ASSERT_EQ(harness.coordinator->waitForNodes(1, 30000.0), 1u);
-
-    const Reference &ref = threadModeReference();
-    const std::string ckpt = tempPath("tsim_net.ckpt");
-    const std::string csv = tempPath("tsim_net.csv");
-    CampaignOptions opts = harness.netOptions();
-    opts.vectorTsim = false;
-    opts.tsimLanes = 1;
-    opts.checkpointPath = ckpt;
-    opts.csvPath = csv;
-    Campaign campaign(*harness.fixture.engine, *harness.fixture.registry,
-                      opts);
-    const CampaignSummary summary = campaign.run();
-    EXPECT_FALSE(summary.interrupted);
-    EXPECT_EQ(summary.cellsFailed, 0u);
-    EXPECT_EQ(slurp(ckpt), ref.journal);
-    EXPECT_EQ(slurp(csv), ref.csv);
-    std::remove(ckpt.c_str());
-    std::remove(csv.c_str());
-}
-
 // The fault-injection tests below run the faulted node as the *only*
 // node, so the fault deterministically fires on its first shard.
 // Multi-node redispatch is covered by

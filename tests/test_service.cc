@@ -557,6 +557,21 @@ TEST_F(SchedulerFixture, ColdComputesWarmHitsByteIdentically)
     EXPECT_EQ(stats.shardHits, shards);
 }
 
+TEST_F(SchedulerFixture, ColdQueryCountsOneMissPerComputedShard)
+{
+    // The double-check under the compute lock re-reads the store; it
+    // must not count a second miss for a shard whose miss the first
+    // lookup already counted. DelayAVF shards and the sAVF shard alike.
+    QuerySpec q = query();
+    q.runSavf = true;
+    auto cold = scheduler->run(q);
+    ASSERT_TRUE(cold.ok()) << cold.error().what();
+
+    const StoreStats stats = store->stats();
+    EXPECT_EQ(stats.writes, numShards(q) + 1);
+    EXPECT_EQ(stats.misses, stats.writes);
+}
+
 TEST_F(SchedulerFixture, MatchesADirectEngineEvaluation)
 {
     QuerySpec q = query();

@@ -89,6 +89,16 @@ writeLegacyRecord(const std::string &dir, const std::string &key,
         << serializeRecordText(key, payload);
 }
 
+/** The whole file at @p path. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
 /** Sorted names of the entries directly in @p dir. */
 std::vector<std::string>
 listing(const std::string &dir)
@@ -482,6 +492,37 @@ TEST(HashIndexT, InsertLookupReplaceRemove)
     fs::remove_all(dir);
 }
 
+TEST(HashIndexT, ProbesCountEverySlotScanned)
+{
+    // store.index.probes_per_lookup observes this count: the slots a
+    // lookup scans in its bucket, fingerprint-rejected ones included.
+    // A hit stops at its own slot; a miss scans the whole bucket.
+    const std::string dir = tempPath("hidx_probes");
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+
+    HashIndex index;
+    index.create(dir, dir + "/" + kIndexFileName);
+    uint32_t probes = 99;
+    EXPECT_FALSE(index.lookup(7, &probes).has_value());
+    EXPECT_EQ(probes, 0u) << "an empty bucket scans nothing";
+
+    // A fresh index has one bucket, so every hash lands in it, in
+    // insertion order.
+    const uint64_t hashes[] = {0x1111, 0x2222, 0x3333, 0x4444, 0x5555};
+    for (uint64_t i = 0; i < 5; ++i)
+        index.insert(hashes[i], 64 * i, 10);
+    ASSERT_EQ(index.bucketCount(), 1u);
+    for (uint32_t i = 0; i < 5; ++i) {
+        ASSERT_TRUE(index.lookup(hashes[i], &probes).has_value());
+        EXPECT_EQ(probes, i + 1) << "hit in slot " << i;
+    }
+    EXPECT_FALSE(index.lookup(0x6666, &probes).has_value());
+    EXPECT_EQ(probes, 5u) << "a miss scans the whole bucket";
+    index.close();
+    fs::remove_all(dir);
+}
+
 TEST(HashIndexT, SplitsAndDirectoryDoublingKeepEveryKey)
 {
     const std::string dir = tempPath("hidx_split");
@@ -752,7 +793,12 @@ TEST(IndexStoreT, SecondOpenerIsLockedOut)
     fs::remove_all(dir);
     IndexStore store({.dir = dir});
     store.put(matrixKey(0), matrixPayload(0));
-    EXPECT_THROW(IndexStore({.dir = dir}), DavfError);
+    try {
+        IndexStore second({.dir = dir});
+        ADD_FAILURE() << "a second opener got the lock";
+    } catch (const DavfError &error) {
+        EXPECT_EQ(error.kind(), ErrorKind::Busy) << error.what();
+    }
     // ... and a ResultStore that loses the lock runs memory-only: it
     // serves its own writes and leaves the owner's directory alone.
     const std::vector<std::string> before = listing(dir);
@@ -897,6 +943,39 @@ TEST(StoreIntegration, LruGaugesTrackEntriesAndBytes)
 }
 
 // --------------------------------------------------------------- migration
+
+TEST(StoreMigrate, FutureVersionRecordIsCarriedOverNotQuarantined)
+{
+    // A newer grammar's legacy record is not damage (store/layout.hh):
+    // migration carries its bytes over verbatim, and the indexed store
+    // then reports the key as a future-version miss, slot kept.
+    const std::string dir = tempPath("migrate_future");
+    fs::remove_all(dir);
+    writeLegacyRecord(dir, matrixKey(0), matrixPayload(0));
+    const std::string key = matrixKey(1);
+    const std::string future = "davf-store v999\nkey " + key
+        + "\nnovel-field 1\npayload whatever\nend\n";
+    const std::string path = dir + "/" + legacyRecordFileName(key);
+    std::ofstream(path, std::ios::binary) << future;
+
+    const MigrateReport report = migrateStore(dir);
+    EXPECT_EQ(report.migrated, 1u);
+    EXPECT_EQ(report.future, 1u);
+    EXPECT_EQ(report.quarantined, 0u);
+    EXPECT_FALSE(fs::exists(path));
+    EXPECT_FALSE(fs::exists(dir + "/quarantine"));
+    EXPECT_NE(slurp(dir + "/" + kDataFileName).find(future),
+              std::string::npos)
+        << "the record's bytes are carried over verbatim";
+
+    // The directory now opens; the future record is a distinct miss.
+    service::ResultStore store({.dir = dir, .memCapacity = 0});
+    ASSERT_TRUE(store.indexed());
+    EXPECT_EQ(store.lookup(matrixKey(0)).value_or(""), matrixPayload(0));
+    EXPECT_FALSE(store.lookup(key).has_value());
+    EXPECT_EQ(store.stats().futureRecords, 1u);
+    fs::remove_all(dir);
+}
 
 TEST(StoreMigrate, LegacyDirectoryMigratesByteIdentically)
 {

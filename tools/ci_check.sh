@@ -73,45 +73,16 @@ isolation_smoke() {
          "$owned ok shards on their owner slots)" >&2
 }
 
-# Vector smoke: the bit-parallel GroupACE path must be invisible in
-# the output — run the same cheap sweep with the vectorized engine
-# (the default) and with --no-vector, in-process and with worker
-# processes, and require every `davf_run --json` report byte-identical
-# (docs/PERFORMANCE.md). Runs under both configs so the lane batching
-# gets ASan/UBSan coverage on every CI run.
-vector_smoke() {
-    build_dir="$1"
-    smoke_dir="$build_dir/vector-smoke"
-    rm -rf "$smoke_dir"
-    mkdir -p "$smoke_dir"
-    echo "=== vector smoke $build_dir" >&2
-    sweep() {
-        "$build_dir/tools/davf_run" --json \
-            --benchmark popcount --structure ALU --delays 0.5:0.9:0.2 \
-            --cycles 3 --wires 24 "$@"
-    }
-    sweep > "$smoke_dir/vector.json"
-    sweep --no-vector > "$smoke_dir/scalar.json"
-    sweep --isolate process --workers 2 \
-        > "$smoke_dir/vector-isolated.json"
-    sweep --no-vector --isolate process --workers 2 \
-        > "$smoke_dir/scalar-isolated.json"
-    for f in scalar.json vector-isolated.json scalar-isolated.json; do
-        if ! cmp -s "$smoke_dir/vector.json" "$smoke_dir/$f"; then
-            echo "vector smoke: $f differs from vector.json" >&2
-            exit 1
-        fi
-    done
-    echo "=== vector smoke ok (reports bit-identical)" >&2
-}
-
 # Observability smoke: metrics and tracing must never perturb results
 # (docs/OBSERVABILITY.md). Run the same cheap sweep with and without
 # --metrics-json/--trace-json, require the two --json reports
 # byte-identical, and require every emitted JSON artifact — report,
 # metric snapshot, Chrome trace — to pass the strict davf_jsonlint
-# validator. Runs under both configs so the striped counters and span
-# buffers get ASan/UBSan coverage on every CI run.
+# validator. The same report must also come out of worker processes
+# (--isolate process) and out of the solo-lane continuation path a
+# --timeout-ms budget selects. Runs under both configs so the striped
+# counters, span buffers, worker protocol and solo-lane batches get
+# ASan/UBSan coverage on every CI run.
 obs_smoke() {
     build_dir="$1"
     smoke_dir="$build_dir/obs-smoke"
@@ -131,6 +102,14 @@ obs_smoke() {
         echo "obs smoke: report differs with metrics enabled" >&2
         exit 1
     fi
+    sweep --isolate process --workers 2 > "$smoke_dir/isolated.json"
+    sweep --timeout-ms 600000 > "$smoke_dir/solo.json"
+    for f in isolated.json solo.json; do
+        if ! cmp -s "$smoke_dir/plain.json" "$smoke_dir/$f"; then
+            echo "obs smoke: $f differs from plain.json" >&2
+            exit 1
+        fi
+    done
     "$build_dir/tools/davf_jsonlint" \
         "$smoke_dir/plain.json" "$smoke_dir/metrics.json" \
         "$smoke_dir/trace.json"
@@ -155,42 +134,7 @@ obs_smoke() {
         echo "obs smoke: no engine.golden_capture span in trace" >&2
         exit 1
     fi
-    echo "=== obs smoke ok (report bit-identical, JSON valid)" >&2
-}
-
-# Timed-simulator smoke: lane-parallel cone batching and cross-delay
-# sweep reuse must be invisible in the output — run the same cheap
-# sweep with the default engine and with --no-vector-tsim, in-process
-# and with worker processes, and require every `davf_run --json`
-# report byte-identical (docs/PERFORMANCE.md). Runs under both configs
-# so the merged event queue and the reuse caches get ASan/UBSan
-# coverage on every CI run.
-tsim_smoke() {
-    build_dir="$1"
-    smoke_dir="$build_dir/tsim-smoke"
-    rm -rf "$smoke_dir"
-    mkdir -p "$smoke_dir"
-    echo "=== tsim smoke $build_dir" >&2
-    sweep() {
-        "$build_dir/tools/davf_run" --json \
-            --benchmark popcount --structure ALU --delays 0.5:0.9:0.2 \
-            --cycles 3 --wires 24 "$@"
-    }
-    sweep > "$smoke_dir/vector.json"
-    sweep --no-vector-tsim > "$smoke_dir/scalar.json"
-    sweep --tsim-lanes 4 > "$smoke_dir/lanes4.json"
-    sweep --isolate process --workers 2 \
-        > "$smoke_dir/vector-isolated.json"
-    sweep --no-vector-tsim --isolate process --workers 2 \
-        > "$smoke_dir/scalar-isolated.json"
-    for f in scalar.json lanes4.json vector-isolated.json \
-        scalar-isolated.json; do
-        if ! cmp -s "$smoke_dir/vector.json" "$smoke_dir/$f"; then
-            echo "tsim smoke: $f differs from vector.json" >&2
-            exit 1
-        fi
-    done
-    echo "=== tsim smoke ok (reports bit-identical)" >&2
+    echo "=== obs smoke ok (reports bit-identical, JSON valid)" >&2
 }
 
 # Serve smoke: start davf_serve with a persistent store, issue the
@@ -811,8 +755,6 @@ net_smoke() {
 
 run_config "$root/build-ci-release" -DCMAKE_BUILD_TYPE=Release
 isolation_smoke "$root/build-ci-release"
-vector_smoke "$root/build-ci-release"
-tsim_smoke "$root/build-ci-release"
 obs_smoke "$root/build-ci-release"
 serve_smoke "$root/build-ci-release"
 store_index_smoke "$root/build-ci-release"
@@ -822,8 +764,6 @@ crash_soak "$root/build-ci-release"
 run_config "$root/build-ci-asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDAVF_SANITIZE=address,undefined
 isolation_smoke "$root/build-ci-asan"
-vector_smoke "$root/build-ci-asan"
-tsim_smoke "$root/build-ci-asan"
 obs_smoke "$root/build-ci-asan"
 serve_smoke "$root/build-ci-asan"
 store_index_smoke "$root/build-ci-asan"

@@ -152,10 +152,12 @@ main(int argc, char **argv)
                 store::migrateStore(argv[2]);
             std::fprintf(stderr,
                          "migrated %llu record(s), %llu already "
-                         "indexed, %llu quarantined, %llu foreign "
+                         "indexed, %llu future-version carried over "
+                         "verbatim, %llu quarantined, %llu foreign "
                          "entr(ies) untouched\n",
                          (unsigned long long)report.migrated,
                          (unsigned long long)report.alreadyIndexed,
+                         (unsigned long long)report.future,
                          (unsigned long long)report.quarantined,
                          (unsigned long long)report.foreign);
             return report.quarantined == 0 ? 0 : 1;
