@@ -48,10 +48,19 @@ fnv1aHex(const std::string &text)
     return os.str();
 }
 
-double
-delayFromKey(const CheckpointKey &key)
+/** A journaled cell as the summary reports it. */
+CampaignCellResult
+summaryCell(const CheckpointCell &journaled, bool from_checkpoint)
 {
-    return std::strtod(key.delay.c_str(), nullptr);
+    CampaignCellResult cell;
+    cell.key = journaled.key;
+    cell.delay = std::strtod(journaled.key.delay.c_str(), nullptr);
+    cell.fromCheckpoint = from_checkpoint;
+    cell.failed = journaled.failed;
+    cell.failReason = journaled.failReason;
+    cell.davf = journaled.davf;
+    cell.savf = journaled.savf;
+    return cell;
 }
 
 } // namespace
@@ -223,34 +232,30 @@ Campaign::run()
             && options.stopFlag->load(std::memory_order_relaxed);
     };
 
-    // Process isolation: known-bad injections from earlier runs keep
-    // their exclusions, so a resumed campaign converges instead of
-    // re-crashing on the same cell. Records from other configurations
-    // are ignored (their sampled-wire indices mean something else).
-    const bool process_mode = options.isolate == IsolationMode::Process;
-    const bool net_mode = options.isolate == IsolationMode::Net;
-    if (net_mode) {
-        davf_assert(options.dispatcher != nullptr,
-                    "IsolationMode::Net needs a ShardDispatcher");
-    }
-    std::vector<QuarantineRecord> knownQuarantine;
-    if (process_mode && !options.supervisor.quarantineDir.empty()) {
-        for (QuarantineRecord &record :
-             loadQuarantineRecords(options.supervisor.quarantineDir)) {
-            if (record.configHash == journal.configHash)
-                knownQuarantine.push_back(std::move(record));
-        }
-    }
-    auto ensure_supervisor = [&]() {
-        if (supervisor)
-            return;
+    // The one place the isolation mode matters: which dispatcher gets
+    // the cycles that neither the journal nor the store has. Thread
+    // mode has none; the engine computes them in-process.
+    ShardDispatcher *dispatcher = nullptr;
+    switch (options.isolate) {
+      case IsolationMode::Thread:
+        break;
+      case IsolationMode::Process: {
         SupervisorOptions sup = options.supervisor;
         sup.configHash = journal.configHash;
         sup.benchmark = options.benchmark;
         sup.seed = options.sampling.seed;
         sup.stopFlag = options.stopFlag;
-        supervisor = std::make_unique<Supervisor>(std::move(sup));
-    };
+        supervisor =
+            std::make_unique<Supervisor>(std::move(sup), *engine, *registry);
+        dispatcher = supervisor.get();
+        break;
+      }
+      case IsolationMode::Net:
+        davf_assert(options.dispatcher != nullptr,
+                    "IsolationMode::Net needs a ShardDispatcher");
+        dispatcher = options.dispatcher;
+        break;
+    }
 
     // A campaign sweeps every structure across the same delay list, so
     // the engine can reuse per-cycle golden context and verdicts across
@@ -269,15 +274,7 @@ Campaign::run()
         // Adopt journaled cells verbatim: this is what makes a resumed
         // campaign bit-identical to an uninterrupted one.
         if (const CheckpointCell *cached = journal.find(planned.key)) {
-            CampaignCellResult cell;
-            cell.key = cached->key;
-            cell.delay = delayFromKey(cached->key);
-            cell.fromCheckpoint = true;
-            cell.failed = cached->failed;
-            cell.failReason = cached->failReason;
-            cell.davf = cached->davf;
-            cell.savf = cached->savf;
-            summary.cells.push_back(std::move(cell));
+            summary.cells.push_back(summaryCell(*cached, true));
             ++summary.cellsFromCheckpoint;
             campaignMetrics().cellsFromCheckpoint.add(1);
             if (cached->failed)
@@ -294,48 +291,21 @@ Campaign::run()
         const obs::Span cell_span("campaign.cell",
                                   &campaignMetrics().cellNs);
 
-        SamplingConfig config = options.sampling;
-        config.stopFlag = options.stopFlag;
-        config.injectionTimeoutMs = options.injectionTimeoutMs;
-        config.maxFailureRate = options.maxFailureRate;
+        CellJob job;
+        job.engine = engine;
+        job.structure = planned.structure;
+        job.delay = planned.delay;
+        job.sampling = options.sampling;
+        job.sampling.stopFlag = options.stopFlag;
+        job.sampling.injectionTimeoutMs = options.injectionTimeoutMs;
+        job.sampling.maxFailureRate = options.maxFailureRate;
+        job.sweep = options.delays;
+        job.dispatcher = dispatcher;
+        job.store = options.store;
 
-        CampaignCellResult cell;
-        cell.key = planned.key;
-        cell.delay = planned.delay;
-
+        CellRun run;
         if (planned.key.kind == "savf") {
-            if (net_mode) {
-                ShardDispatcher::CellResult shard =
-                    options.dispatcher->runSavfCell(
-                        planned.key.structure, config, cell.savf);
-                if (shard.stopped) {
-                    summary.interrupted = true;
-                    save();
-                    break;
-                }
-                cell.failed = shard.failed;
-                cell.failReason = shard.failReason;
-            } else if (process_mode) {
-                ensure_supervisor();
-                Supervisor::SavfCellResult shard =
-                    supervisor->runSavfCell(planned.key.structure,
-                                            config);
-                if (shard.stopped) {
-                    summary.interrupted = true;
-                    save();
-                    break;
-                }
-                cell.savf = shard.savf;
-                cell.failed = shard.failed;
-                cell.failReason = shard.failReason;
-            } else {
-                cell.savf = engine->savf(*planned.structure, config);
-                if (cell.savf.stopped) {
-                    summary.interrupted = true;
-                    save();
-                    break;
-                }
-            }
+            run = runSavfCell(job);
         } else {
             DelayAvfProgress progress;
             if (journal.hasPartial
@@ -344,7 +314,7 @@ Campaign::run()
             }
             // Journal every completed injection cycle: an interruption
             // (even SIGKILL) loses at most one cycle of work. Calls are
-            // serialized by the engine.
+            // serialized by the runner.
             progress.onCycleDone =
                 [&](const InjectionCycleOutcome &outcome) {
                     if (!journal.hasPartial
@@ -361,135 +331,45 @@ Campaign::run()
                     journal.partialCycles.push_back(outcome);
                     save();
                 };
+            run = runDavfCell(job, std::move(progress));
+        }
 
-            // Aggregation from completed outcomes is shared by both
-            // isolation modes; catching ExcessiveFailures (the cell is
-            // untrustworthy) records why and moves on.
-            auto aggregate = [&](DelayAvfProgress *with) {
-                try {
-                    cell.davf = engine->delayAvf(*planned.structure,
-                                                 planned.delay, config,
-                                                 with);
-                } catch (const DavfError &error) {
-                    if (error.kind() != ErrorKind::ExcessiveFailures)
-                        throw;
-                    cell.failed = true;
-                    cell.failReason = error.what();
-                }
-            };
-
-            if (process_mode || net_mode) {
-                // Dispatch only the cycles the journal does not already
-                // have; workers compute, the supervisor/coordinator
-                // retries and quarantines, and every completed outcome
-                // is journaled through the same onCycleDone as thread
-                // mode.
-                std::vector<uint64_t> todo;
-                for (uint64_t cycle : engine->injectionCycles(config)) {
-                    bool have = false;
-                    for (const InjectionCycleOutcome &out :
-                         progress.completed) {
-                        if (out.cycle == cycle) {
-                            have = true;
-                            break;
-                        }
-                    }
-                    if (!have)
-                        todo.push_back(cycle);
-                }
-
-                bool shard_failed = false;
-                std::string shard_fail_reason;
-                bool shard_stopped = false;
-                if (net_mode) {
-                    ShardDispatcher::CellResult shard =
-                        options.dispatcher->runDavfCell(
-                            planned.key.structure, planned.delay, todo,
-                            config, progress.onCycleDone, options.delays);
-                    shard_failed = shard.failed;
-                    shard_fail_reason = std::move(shard.failReason);
-                    shard_stopped = shard.stopped;
-                } else {
-                    ensure_supervisor();
-                    const std::vector<WireId> wires =
-                        engine->sampledWires(*planned.structure, config);
-
-                    Supervisor::DavfCellResult shard =
-                        supervisor->runDavfCell(
-                            planned.key.structure, planned.delay, todo,
-                            wires, config, knownQuarantine,
-                            progress.onCycleDone, options.delays);
-                    for (QuarantineRecord &record : shard.quarantined) {
-                        knownQuarantine.push_back(record);
-                        summary.quarantined.push_back(std::move(record));
-                    }
-                    shard_failed = shard.failed;
-                    shard_fail_reason = std::move(shard.failReason);
-                    shard_stopped = shard.stopped;
-                }
-
-                if (shard_stopped) {
-                    summary.interrupted = true;
-                    save();
-                    flushCsv(summary);
-                    break;
-                }
-                if (shard_failed) {
-                    cell.failed = true;
-                    cell.failReason = shard_fail_reason;
-                } else {
-                    // Every outcome is in the journal now; the engine
-                    // call only aggregates (no cycle is re-simulated),
-                    // which keeps process mode bit-identical to thread
-                    // mode at any worker count.
-                    DelayAvfProgress completed;
-                    if (journal.hasPartial
-                        && journal.partialKey == planned.key) {
-                        completed.completed = journal.partialCycles;
-                    }
-                    aggregate(&completed);
-                }
-            } else {
-                aggregate(&progress);
-
-                if (!cell.failed && cell.davf.stopped) {
-                    // Partial cycles are already journaled via
-                    // onCycleDone; flush once more for good measure and
-                    // stop cleanly.
-                    summary.interrupted = true;
-                    save();
-                    flushCsv(summary);
-                    break;
-                }
-            }
+        if (run.stopped) {
+            // Completed cycles are already journaled; save once more
+            // and stop cleanly (the CSV is flushed below).
+            summary.interrupted = true;
+            save();
+            break;
         }
 
         // The cell is final (completed or failed): promote it to the
         // journal and drop any partial progress it had.
         CheckpointCell record;
         record.key = planned.key;
-        record.failed = cell.failed;
-        record.failReason = cell.failReason;
-        record.davf = cell.davf;
-        record.savf = cell.savf;
+        record.failed = run.failed;
+        record.failReason = run.failReason;
+        record.davf = std::move(run.davf);
+        record.savf = std::move(run.savf);
+        summary.cells.push_back(summaryCell(record, false));
         journal.cells.push_back(std::move(record));
         if (journal.hasPartial && journal.partialKey == planned.key) {
             journal.hasPartial = false;
             journal.partialCycles.clear();
         }
 
-        if (cell.failed) {
+        if (run.failed) {
             ++summary.cellsFailed;
             campaignMetrics().cellsFailed.add(1);
         }
         ++summary.cellsComputed;
         campaignMetrics().cellsComputed.add(1);
-        summary.cells.push_back(std::move(cell));
 
         save();
         flushCsv(summary);
     }
 
+    if (supervisor)
+        summary.quarantined = supervisor->quarantined();
     flushCsv(summary);
     return summary;
 }

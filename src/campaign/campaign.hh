@@ -20,7 +20,10 @@
  *    cannot poison the sweep;
  *  - **cooperative stop**: when the stop flag (stop.hh) is raised, the
  *    engine returns between injections, the journal and the partial CSV
- *    are flushed, and run() reports interrupted.
+ *    are flushed, and run() reports interrupted;
+ *  - **cache tier**: with CampaignOptions::store, in every isolation
+ *    mode, cycles already in the result store are not recomputed and
+ *    fresh ones are written back (cell_runner.hh).
  */
 
 #ifndef DAVF_CAMPAIGN_CAMPAIGN_HH
@@ -32,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/cell_runner.hh"
 #include "campaign/checkpoint.hh"
 #include "campaign/supervisor.hh"
 #include "core/vulnerability.hh"
@@ -39,7 +43,11 @@
 
 namespace davf {
 
-/** Where a cell's simulations execute. */
+/**
+ * Where a cell's simulations execute. Every mode runs its cells
+ * through the one cell runner (cell_runner.hh); the mode only picks the
+ * ShardDispatcher that gets the cycles the journal and store lack.
+ */
 enum class IsolationMode : uint8_t {
     /** In-process, on the engine's thread pool (the default). */
     Thread,
@@ -64,45 +72,6 @@ enum class IsolationMode : uint8_t {
     Net,
 };
 
-/**
- * Remote-execution hook for IsolationMode::Net. The campaign stays
- * transport-agnostic: it hands whole cells to this interface and
- * journals the per-cycle outcomes it gets back exactly as in the other
- * modes. Implemented by net::Coordinator.
- */
-class ShardDispatcher
-{
-  public:
-    /** One dispatched cell's outcome (mirrors the supervisor's). */
-    struct CellResult
-    {
-        bool failed = false; ///< A shard failed beyond repair.
-        std::string failReason;
-        bool stopped = false; ///< The stop flag interrupted the cell.
-    };
-
-    virtual ~ShardDispatcher() = default;
-
-    /**
-     * Compute the given injection cycles of one (structure, delay)
-     * cell across the fleet. Every completed outcome is delivered
-     * through @p on_cycle_done (serialized; any thread). @p sweep is
-     * the campaign's delay list, shipped in every cycle shard so the
-     * nodes reuse cross-delay work (empty = no sweep).
-     */
-    virtual CellResult runDavfCell(
-        const std::string &structure, double delay_fraction,
-        const std::vector<uint64_t> &cycles,
-        const SamplingConfig &sampling,
-        const std::function<void(const InjectionCycleOutcome &)>
-            &on_cycle_done,
-        const std::vector<double> &sweep) = 0;
-
-    /** Compute one sAVF cell on the fleet; @p out on success. */
-    virtual CellResult runSavfCell(const std::string &structure,
-                                   const SamplingConfig &sampling,
-                                   SavfResult &out) = 0;
-};
 
 /** What to run and how to survive it. */
 struct CampaignOptions
@@ -162,6 +131,13 @@ struct CampaignOptions
      * caller owns it (and its node fleet) and it must outlive run().
      */
     ShardDispatcher *dispatcher = nullptr;
+
+    /**
+     * The result store as a cache tier, in every isolation mode: cycles
+     * found there are not recomputed, fresh ones are written back. May
+     * be null; the caller owns it and it must outlive run().
+     */
+    ShardStore *store = nullptr;
 };
 
 /** One cell's outcome as the campaign saw it. */
@@ -186,7 +162,8 @@ struct CampaignSummary
     uint64_t cellsFailed = 0;
 
     /** Process isolation only: injections newly quarantined this run
-     *  (already excluded from the affected cells' denominators). */
+     *  (already excluded from the affected cells' denominators;
+     *  Supervisor::quarantined()). */
     std::vector<QuarantineRecord> quarantined;
 };
 
@@ -221,7 +198,7 @@ class Campaign
     const StructureRegistry *registry;
     CampaignOptions options;
     Checkpoint journal;
-    std::unique_ptr<Supervisor> supervisor; ///< Process mode, lazy.
+    std::unique_ptr<Supervisor> supervisor; ///< Process mode only.
 };
 
 } // namespace davf

@@ -15,7 +15,9 @@
  *    quit-then-drain shutdown step;
  *  - worker side: serveShards() is the one serve loop — one shard at a
  *    time, "hb" heartbeats while computing, replies in the journal
- *    token grammar so results aggregate bit-identically.
+ *    token grammar so results aggregate bit-identically;
+ *  - the ShardDispatcher interface both dispatchers implement, through
+ *    which the cell runner (campaign/cell_runner.hh) hands them cells.
  *
  * Each dispatcher keeps only its policy: what a lost connection means
  * (a crashed child to classify by exit status, or a lost node to
@@ -32,6 +34,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/shard.hh"
 #include "core/vulnerability.hh"
@@ -173,6 +176,44 @@ void backoffShard(const ShardSpec &spec, unsigned attempt,
  * writing it can finish and exit cleanly.
  */
 void drainUntilEof(FrameConn &conn, double budget_ms);
+
+/**
+ * Where the cell runner (campaign/cell_runner.hh) sends the cycles it
+ * cannot take from the result store: worker processes (Supervisor) or
+ * TCP worker nodes (net::Coordinator).
+ */
+class ShardDispatcher
+{
+  public:
+    /** One dispatched cell's outcome. */
+    struct CellResult
+    {
+        bool failed = false; ///< A shard failed beyond repair.
+        std::string failReason;
+        bool stopped = false; ///< The stop flag interrupted the cell.
+    };
+
+    virtual ~ShardDispatcher() = default;
+
+    /**
+     * Compute the given injection cycles of one (structure, delay)
+     * cell; each outcome goes to @p on_cycle_done (serialized; any
+     * thread). @p sweep, shipped in every cycle shard, lets workers
+     * reuse cross-delay work (empty = no sweep).
+     */
+    virtual CellResult runDavfCell(
+        const std::string &structure, double delay_fraction,
+        const std::vector<uint64_t> &cycles,
+        const SamplingConfig &sampling,
+        const std::function<void(const InjectionCycleOutcome &)>
+            &on_cycle_done,
+        const std::vector<double> &sweep) = 0;
+
+    /** Compute one sAVF cell; @p out on success. */
+    virtual CellResult runSavfCell(const std::string &structure,
+                                   const SamplingConfig &sampling,
+                                   SavfResult &out) = 0;
+};
 
 /** Test hooks a worker wraps around each shard (net/netfault.hh). */
 struct ServeHooks

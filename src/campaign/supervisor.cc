@@ -207,8 +207,11 @@ struct Supervisor::CellState
     bool stopped = false;
 };
 
-Supervisor::Supervisor(SupervisorOptions the_options)
-    : options(std::move(the_options))
+Supervisor::Supervisor(SupervisorOptions the_options,
+                       const VulnerabilityEngine &the_engine,
+                       const StructureRegistry &the_registry)
+    : options(std::move(the_options)), engine(&the_engine),
+      registry(&the_registry)
 {
     davf_assert(!options.workerArgv.empty(),
                 "supervisor needs a worker command line");
@@ -220,6 +223,16 @@ Supervisor::Supervisor(SupervisorOptions the_options)
     for (unsigned i = 0; i < options.workers; ++i) {
         slots.push_back(std::make_unique<Slot>());
         slots.back()->index = i;
+    }
+    // Known-bad injections from earlier runs keep their exclusions, so
+    // a resumed campaign converges instead of re-crashing on the same
+    // cell. Records from other configurations are ignored.
+    if (!options.quarantineDir.empty()) {
+        for (QuarantineRecord &record :
+             loadQuarantineRecords(options.quarantineDir)) {
+            if (record.configHash == options.configHash)
+                known.push_back(std::move(record));
+        }
     }
 }
 
@@ -480,24 +493,29 @@ Supervisor::bisectAndQuarantine(Slot &slot, ShardSpec spec,
     }
 }
 
-Supervisor::DavfCellResult
+Supervisor::CellResult
 Supervisor::runDavfCell(
     const std::string &structure, double delay_fraction,
-    const std::vector<uint64_t> &cycles, const std::vector<WireId> &wires,
-    const SamplingConfig &sampling,
-    const std::vector<QuarantineRecord> &prior,
+    const std::vector<uint64_t> &cycles, const SamplingConfig &sampling,
     const std::function<void(const InjectionCycleOutcome &)>
         &on_cycle_done,
     const std::vector<double> &sweep)
 {
-    DavfCellResult result;
+    CellResult result;
     if (cycles.empty())
         return result;
+
+    // The sampled-wire order quarantine indices refer to.
+    const Structure *resolved = registry->find(structure);
+    davf_assert(resolved != nullptr, "supervisor: unknown structure '",
+                structure, "'");
+    const std::vector<WireId> wires =
+        engine->sampledWires(*resolved, sampling);
 
     // Exclusions apply per cycle: a quarantined injection names one
     // (cycle, wire index) pair.
     std::vector<std::vector<size_t>> exclusions(cycles.size());
-    for (const QuarantineRecord &record : prior) {
+    for (const QuarantineRecord &record : known) {
         if (record.structure != structure
             || record.delayFraction != delay_fraction)
             continue;
@@ -566,18 +584,19 @@ Supervisor::runDavfCell(
     for (std::thread &thread : threads)
         thread.join();
 
-    result.quarantined = std::move(cell.quarantined);
+    written.insert(written.end(), cell.quarantined.begin(),
+                   cell.quarantined.end());
     result.failed = cell.failed;
     result.failReason = std::move(cell.failReason);
     result.stopped = cell.stopped;
     return result;
 }
 
-Supervisor::SavfCellResult
+Supervisor::CellResult
 Supervisor::runSavfCell(const std::string &structure,
-                        const SamplingConfig &sampling)
+                        const SamplingConfig &sampling, SavfResult &out)
 {
-    SavfCellResult result;
+    CellResult result;
     ShardSpec spec;
     spec.kind = ShardSpec::Kind::Savf;
     spec.structure = structure;
@@ -585,7 +604,7 @@ Supervisor::runSavfCell(const std::string &structure,
 
     const Attempt attempt = dispatchWithRetries(*slots[0], spec);
     if (attempt.outcome == Attempt::Outcome::Ok) {
-        result.savf = attempt.savfOutcome;
+        out = attempt.savfOutcome;
     } else if (attempt.outcome == Attempt::Outcome::Stopped) {
         result.stopped = true;
     } else {

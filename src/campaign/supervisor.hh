@@ -22,7 +22,10 @@
  *    "quarantined", leaving the AVF denominators) while the rest of the
  *    cell completes;
  *  - shard replies carry the exact journal token grammar, so results
- *    aggregate bit-identically to thread mode at any worker count.
+ *    aggregate bit-identically to thread mode at any worker count;
+ *  - it is a ShardDispatcher: the cell runner (cell_runner.hh) hands
+ *    it the cycles a cell still needs, for a campaign and for
+ *    `davf_serve --isolate process` alike.
  *
  * See docs/ROBUSTNESS.md for the shard exchange and the quarantine
  * record format.
@@ -76,7 +79,8 @@ struct SupervisorOptions : DispatchPolicy
     /** Per-attempt metrics CSV (appended); empty disables. */
     std::string metricsCsvPath;
 
-    /** Campaign identity stamped into quarantine records. */
+    /** Campaign identity stamped into quarantine records; the only
+     *  records loaded from quarantineDir are those carrying it. */
     std::string configHash;
     std::string benchmark;
 };
@@ -116,59 +120,41 @@ std::vector<QuarantineRecord>
 loadQuarantineRecords(const std::string &dir);
 
 /** The worker pool + failure policy (see file comment). */
-class Supervisor
+class Supervisor : public ShardDispatcher
 {
   public:
-    explicit Supervisor(SupervisorOptions options);
-    ~Supervisor();
+    /** Loads the quarantine records of options.configHash; @p engine
+     *  and @p registry (which must outlive it) give the sampled-wire
+     *  order their indices refer to. */
+    Supervisor(SupervisorOptions options, const VulnerabilityEngine &engine,
+               const StructureRegistry &registry);
+    ~Supervisor() override;
 
     Supervisor(const Supervisor &) = delete;
     Supervisor &operator=(const Supervisor &) = delete;
 
-    /** Outcome of one DelayAVF cell run under supervision. */
-    struct DavfCellResult
-    {
-        /** Newly quarantined injections (already persisted). */
-        std::vector<QuarantineRecord> quarantined;
-
-        bool failed = false; ///< A shard failed beyond repair.
-        std::string failReason;
-        bool stopped = false; ///< The stop flag interrupted the cell.
-    };
-
-    /**
-     * Compute the given injection cycles of one (structure, delay)
-     * cell across the worker pool. @p wires is the sampled-wire order
-     * (engine->sampledWires), used to resolve quarantine indices;
-     * @p prior holds already-known quarantine records to exclude.
-     * Every completed outcome is delivered through @p on_cycle_done
-     * (serialized, from dispatcher threads). @p sweep is the campaign's
-     * delay list, shipped in every cycle shard so workers reuse
-     * cross-delay work (empty = no sweep). Cycle index j of @p cycles
-     * always goes to worker slot j mod pool, so each worker sees every
-     * delay of the cycles it owns; nothing is stolen.
-     */
-    DavfCellResult runDavfCell(
+    /** Cycle index j of @p cycles always goes to worker slot j mod
+     *  pool, so each worker sees every delay of the cycles it owns. */
+    CellResult runDavfCell(
         const std::string &structure, double delay_fraction,
         const std::vector<uint64_t> &cycles,
-        const std::vector<WireId> &wires, const SamplingConfig &sampling,
-        const std::vector<QuarantineRecord> &prior,
+        const SamplingConfig &sampling,
         const std::function<void(const InjectionCycleOutcome &)>
             &on_cycle_done,
-        const std::vector<double> &sweep = {});
-
-    /** Outcome of one sAVF cell run under supervision. */
-    struct SavfCellResult
-    {
-        SavfResult savf;
-        bool failed = false;
-        std::string failReason;
-        bool stopped = false;
-    };
+        const std::vector<double> &sweep) override;
 
     /** Compute one sAVF cell in a worker (retried, never bisected). */
-    SavfCellResult runSavfCell(const std::string &structure,
-                               const SamplingConfig &sampling);
+    CellResult runSavfCell(const std::string &structure,
+                           const SamplingConfig &sampling,
+                           SavfResult &out) override;
+
+    /** The injections quarantined so far (persisted when
+     *  quarantineDir is set; excluded from the next run, since a
+     *  campaign computes each (structure, delay) cell once). */
+    const std::vector<QuarantineRecord> &quarantined() const
+    {
+        return written;
+    }
 
     /** Shut every worker down (quit frame, then escalating kill). */
     void shutdown();
@@ -197,8 +183,12 @@ class Supervisor
                                 CellState &cell);
 
     SupervisorOptions options;
+    const VulnerabilityEngine *engine;
+    const StructureRegistry *registry;
     std::vector<std::unique_ptr<Slot>> slots;
     std::mutex metricsMutex;
+    std::vector<QuarantineRecord> known;   ///< Loaded at construction.
+    std::vector<QuarantineRecord> written; ///< Quarantined this run.
 };
 
 /**

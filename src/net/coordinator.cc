@@ -5,12 +5,9 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 
-#include "campaign/checkpoint.hh"
 #include "campaign/shard_exchange.hh"
 #include "obs/metrics.hh"
-#include "util/crashpoint.hh"
 #include "util/logging.hh"
 
 namespace davf::net {
@@ -37,9 +34,6 @@ struct NetMetrics
     obs::Counter nodesQuarantined{"net.nodes_quarantined"};
     obs::Counter redispatches{"net.redispatches"};
     obs::Counter localFallbacks{"net.local_fallbacks"};
-    obs::Counter storeHits{"net.store_hits"};
-    obs::Counter storeWrites{"net.store_writes"};
-    obs::Counter storeWriteFailures{"net.store_write_failures"};
 };
 
 NetMetrics &
@@ -66,7 +60,6 @@ struct Coordinator::Job
 {
     ShardSpec spec;
     unsigned attempts = 0;
-    bool fromCache = false;
     InjectionCycleOutcome cycleOutcome;
     SavfResult savfOutcome;
 };
@@ -202,28 +195,6 @@ Coordinator::finishJob(CellCtx &ctx, Job &job)
     {
         const std::lock_guard<std::mutex> lock(ctx.deliverMutex);
         ctx.deliver(job);
-        if (options.cacheStore && !job.fromCache) {
-            const std::string payload =
-                job.spec.kind == ShardSpec::Kind::Cycle
-                ? serializeOutcomeFields(job.cycleOutcome)
-                : serializeSavfFields(job.savfOutcome);
-            // The shared store is a cache tier: the shard's result is
-            // already delivered to the journal above, so a store that
-            // cannot accept the write (full disk, armed crash point)
-            // costs a future hit, never the campaign.
-            try {
-                static const crashpoint::CrashPoint store_point(
-                    "net.store_write");
-                store_point.fire();
-                options.cacheStore(job.spec, payload);
-                netMetrics().storeWrites.add(1);
-            } catch (const DavfError &error) {
-                netMetrics().storeWriteFailures.add(1);
-                davf_warn("shared-store write failed (campaign "
-                          "continues): ",
-                          error.what());
-            }
-        }
     }
     const std::lock_guard<std::mutex> lock(ctx.mutex);
     --ctx.outstanding;
@@ -399,30 +370,8 @@ Coordinator::runCell(std::vector<Job> jobs,
     ctx.jobs = std::move(jobs);
     ctx.deliver = deliver;
     ctx.outstanding = ctx.jobs.size();
-
-    // Resolve shards against the shared store tier first: a shard any
-    // node (or any earlier run) already computed is a hit, not work.
-    if (options.cacheLookup) {
-        for (Job &job : ctx.jobs) {
-            const std::optional<std::string> hit =
-                options.cacheLookup(job.spec);
-            if (!hit)
-                continue;
-            std::istringstream is(*hit);
-            const bool ok = job.spec.kind == ShardSpec::Kind::Cycle
-                ? parseOutcomeFields(is, job.cycleOutcome)
-                : parseSavfFields(is, job.savfOutcome);
-            if (!ok)
-                continue; // Corrupt payload is a miss, not an error.
-            job.fromCache = true;
-            netMetrics().storeHits.add(1);
-            finishJob(ctx, job);
-        }
-    }
-    for (size_t i = 0; i < ctx.jobs.size(); ++i) {
-        if (!ctx.jobs[i].fromCache)
-            ctx.queue.push_back(i);
-    }
+    for (size_t i = 0; i < ctx.jobs.size(); ++i)
+        ctx.queue.push_back(i);
 
     std::vector<std::thread> dispatchers;
     std::set<uint64_t> seen;

@@ -35,10 +35,9 @@
  *  - a deterministic worker-reported error ("err <kind> ...") fails
  *    the cell, as in the other modes — re-dispatching cannot fix it.
  *
- * The optional cache callbacks let the content-addressed result store
- * act as a shared tier: a shard any node (or any earlier run) already
- * computed is a store hit, not a recompute, and fresh outcomes are
- * written back as they arrive.
+ * The coordinator only computes: the cell runner
+ * (campaign/cell_runner.hh) takes what the result store already has
+ * before a cell reaches it, and writes the fresh outcomes back.
  *
  * Replies carry the exact journal token grammar, and aggregation runs
  * through the checkpoint-resume path, so results are byte-identical
@@ -55,12 +54,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "campaign/campaign.hh"
 #include "campaign/shard_exchange.hh"
 #include "core/shard.hh"
 #include "core/vulnerability.hh"
@@ -80,21 +77,14 @@ struct CoordinatorOptions : DispatchPolicy
     unsigned maxNodeFailures = 3;
 
     /**
-     * @name Local execution + shared cache tier
+     * @name Local execution
      * localCycle/localSavf compute one shard in-process (the graceful
      * degradation path; engine calls are serialized internally by the
-     * coordinator). cacheLookup/cacheStore, when set, resolve shards
-     * against the content-addressed result store before dispatching
-     * and persist fresh outcomes (payloads are the journal token
-     * grammar).
+     * coordinator).
      */
     /// @{
     std::function<InjectionCycleOutcome(const ShardSpec &)> localCycle;
     std::function<SavfResult(const ShardSpec &)> localSavf;
-    std::function<std::optional<std::string>(const ShardSpec &)>
-        cacheLookup;
-    std::function<void(const ShardSpec &, const std::string &)>
-        cacheStore;
     /// @}
 };
 

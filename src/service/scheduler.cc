@@ -3,11 +3,8 @@
 #include <chrono>
 #include <sstream>
 
-#include "campaign/checkpoint.hh"
-#include "campaign/supervisor.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "util/logging.hh"
 
 namespace davf::service {
 
@@ -40,28 +37,6 @@ elapsedMs(Clock::time_point since)
         .count();
 }
 
-/** Parse a stored outcome payload; any damage or trailing junk fails. */
-bool
-parseOutcomePayload(const std::string &payload,
-                    InjectionCycleOutcome &outcome)
-{
-    std::istringstream is(payload);
-    if (!parseOutcomeFields(is, outcome))
-        return false;
-    std::string trailing;
-    return !(is >> trailing);
-}
-
-bool
-parseSavfPayload(const std::string &payload, SavfResult &result)
-{
-    std::istringstream is(payload);
-    if (!parseSavfFields(is, result))
-        return false;
-    std::string trailing;
-    return !(is >> trailing);
-}
-
 std::string
 histogramJson(const Histogram &h)
 {
@@ -85,274 +60,95 @@ histogramJson(const Histogram &h)
 
 QueryScheduler::QueryScheduler(VulnerabilityEngine &the_engine,
                                const StructureRegistry &the_registry,
-                               std::string the_fingerprint,
+                               std::string fingerprint,
                                ResultStore &the_store, Options the_options)
-    : engine(&the_engine), registry(&the_registry),
-      fingerprint(std::move(the_fingerprint)), store(&the_store),
+    : engine(&the_engine), registry(&the_registry), store(&the_store),
+      tier(the_store, std::move(fingerprint)),
       options(std::move(the_options)), lookupMs(0.0, 50.0, 25),
       computeMs(0.0, 5000.0, 25), aggregateMs(0.0, 50.0, 25)
-{
-    if (!options.workerArgv.empty()) {
-        SupervisorOptions sup;
-        sup.workerArgv = options.workerArgv;
-        sup.workers = options.workers;
-        sup.maxRetries = options.maxRetries;
-        sup.workerMemMb = options.workerMemMb;
-        sup.configHash = fingerprint;
-        sup.benchmark = options.benchmark;
-        supervisor = std::make_unique<Supervisor>(std::move(sup));
-    }
-}
-
-QueryScheduler::~QueryScheduler() = default;
-
-std::string
-shardStoreKey(const std::string &fingerprint, const ShardSpec &spec)
-{
-    // The sweep is a worker speed hint, not part of what the shard
-    // computes: with it or without, the same shard hits the same record.
-    ShardSpec keyed = spec;
-    keyed.sweep.clear();
-    return fingerprint + " " + serializeShardSpec(keyed);
-}
+{}
 
 std::string
 QueryScheduler::shardKey(const ShardSpec &spec) const
 {
-    return shardStoreKey(fingerprint, spec);
+    return tier.key(spec);
 }
 
 void
-QueryScheduler::storeOutcome(ShardSpec spec,
-                             const InjectionCycleOutcome &outcome)
+QueryScheduler::countHits(uint64_t hits, bool recheck, QueryReply &reply)
 {
-    spec.cycle = outcome.cycle;
-    // Attribution-bearing payloads carry the v3 grammar extension;
-    // plain outcomes keep writing v2 so old readers stay compatible.
-    store->store(shardKey(spec), serializeOutcomeFields(outcome),
-                 outcome.attr.valid ? 3 : 2);
+    reply.storeHits += hits;
+    (recheck ? schedulerMetrics().inFlightHits
+             : schedulerMetrics().shardHits)
+        .add(hits);
+    const std::lock_guard<std::mutex> stats_lock(statsMutex);
+    (recheck ? counters.inFlightHits : counters.shardHits) += hits;
 }
 
-Result<DelayAvfResult>
-QueryScheduler::runDavfCell(const Structure &structure,
-                            const QuerySpec &query, double d,
-                            const std::atomic<bool> *cancel,
-                            QueryReply &reply)
+void
+QueryScheduler::countComputed(QueryReply &reply)
 {
-    using R = Result<DelayAvfResult>;
-
-    SamplingConfig sampling = query.sampling;
-    sampling.threads = options.threads;
-    sampling.stopFlag = cancel;
-
-    // The spec prototype that, with a cycle filled in, keys one shard.
-    // Its sampling is the query's verbatim (threads and stop flag are
-    // operational and not serialized), so every process pointed at the
-    // same store derives the same keys.
-    ShardSpec spec;
-    spec.kind = ShardSpec::Kind::Cycle;
-    spec.structure = query.structure;
-    spec.delayFraction = d;
-    spec.sampling = query.sampling;
-
-    const std::vector<uint64_t> cycles = engine->injectionCycles(sampling);
-
-    DelayAvfProgress progress;
-    std::vector<uint64_t> missing;
-    const Clock::time_point lookup_start = Clock::now();
-    for (uint64_t cycle : cycles) {
-        spec.cycle = cycle;
-        bool hit = false;
-        if (auto payload = store->lookup(shardKey(spec))) {
-            InjectionCycleOutcome outcome;
-            if (parseOutcomePayload(*payload, outcome)) {
-                progress.completed.push_back(std::move(outcome));
-                hit = true;
-            } else {
-                davf_warn("store payload for cycle ", cycle,
-                          " unparseable; recomputing");
-            }
-        }
-        if (hit) {
-            ++reply.storeHits;
-            schedulerMetrics().shardHits.add(1);
-            const std::lock_guard<std::mutex> stats_lock(statsMutex);
-            ++counters.shardHits;
-        } else {
-            missing.push_back(cycle);
-        }
-    }
-    {
-        const std::lock_guard<std::mutex> stats_lock(statsMutex);
-        lookupMs.add(elapsedMs(lookup_start));
-    }
-
-    const std::lock_guard<std::mutex> engine_lock(engineMutex);
-
-    if (!missing.empty()) {
-        // Double-check under the compute lock: a concurrent client may
-        // have computed (and stored) these shards while we waited. This
-        // is the in-flight dedupe — identical concurrent queries cost
-        // one simulation.
-        std::vector<uint64_t> still;
-        for (uint64_t cycle : missing) {
-            spec.cycle = cycle;
-            InjectionCycleOutcome outcome;
-            if (auto payload = store->recheck(shardKey(spec));
-                payload && parseOutcomePayload(*payload, outcome)) {
-                progress.completed.push_back(std::move(outcome));
-                ++reply.storeHits;
-                schedulerMetrics().inFlightHits.add(1);
-                const std::lock_guard<std::mutex> stats_lock(statsMutex);
-                ++counters.inFlightHits;
-            } else {
-                still.push_back(cycle);
-            }
-        }
-        missing = std::move(still);
-    }
-
-    if (!missing.empty() && supervisor) {
-        // Process-isolated compute: ship the missing cycles to the
-        // worker pool; each completed outcome is persisted on arrival.
-        // (Cancellation takes effect between cells in this mode.)
-        const Clock::time_point compute_start = Clock::now();
-        const std::vector<WireId> wires =
-            engine->sampledWires(structure, sampling);
-        const Supervisor::DavfCellResult cell = supervisor->runDavfCell(
-            query.structure, d, missing, wires, query.sampling, {},
-            [&](const InjectionCycleOutcome &outcome) {
-                storeOutcome(spec, outcome);
-                progress.completed.push_back(outcome);
-                ++reply.storeMisses;
-                schedulerMetrics().shardsComputed.add(1);
-                const std::lock_guard<std::mutex> stats_lock(statsMutex);
-                ++counters.shardsComputed;
-            });
-        {
-            const std::lock_guard<std::mutex> stats_lock(statsMutex);
-            computeMs.add(elapsedMs(compute_start));
-        }
-        if (cell.stopped)
-            return R::Err(ErrorKind::Timeout, "query cancelled");
-        if (cell.failed) {
-            return R::Err(ErrorKind::Internal,
-                          "isolated cell failed: " + cell.failReason);
-        }
-        missing.clear();
-    }
-
-    if (!missing.empty()) {
-        // In-process compute: delayAvf() simulates exactly the cycles
-        // absent from progress.completed on the engine thread pool and
-        // aggregates everything — the checkpoint-resume path, so the
-        // result is bit-identical to a cold run.
-        progress.onCycleDone = [&](const InjectionCycleOutcome &outcome) {
-            storeOutcome(spec, outcome);
-            ++reply.storeMisses;
-            schedulerMetrics().shardsComputed.add(1);
-            const std::lock_guard<std::mutex> stats_lock(statsMutex);
-            ++counters.shardsComputed;
-        };
-        const Clock::time_point compute_start = Clock::now();
-        DelayAvfResult result =
-            engine->delayAvf(structure, d, sampling, &progress);
-        {
-            const std::lock_guard<std::mutex> stats_lock(statsMutex);
-            computeMs.add(elapsedMs(compute_start));
-        }
-        if (result.stopped)
-            return R::Err(ErrorKind::Timeout, "query cancelled");
-        return R::Ok(std::move(result));
-    }
-
-    // Aggregation only: every cycle came from the store (or the worker
-    // pool). No stop flag — nothing simulates, so nothing can hang.
-    SamplingConfig agg_sampling = sampling;
-    agg_sampling.stopFlag = nullptr;
-    progress.onCycleDone = nullptr;
-    const Clock::time_point agg_start = Clock::now();
-    DelayAvfResult result =
-        engine->delayAvf(structure, d, agg_sampling, &progress);
-    {
-        const std::lock_guard<std::mutex> stats_lock(statsMutex);
-        aggregateMs.add(elapsedMs(agg_start));
-    }
-    return R::Ok(std::move(result));
-}
-
-Result<SavfResult>
-QueryScheduler::runSavfCell(const Structure &structure,
-                            const QuerySpec &query,
-                            const std::atomic<bool> *cancel,
-                            QueryReply &reply)
-{
-    using R = Result<SavfResult>;
-
-    ShardSpec spec;
-    spec.kind = ShardSpec::Kind::Savf;
-    spec.structure = query.structure;
-    spec.sampling = query.sampling;
-    const std::string key = shardKey(spec);
-
-    const Clock::time_point lookup_start = Clock::now();
-    auto tryLookup = [&](bool again) -> std::optional<SavfResult> {
-        SavfResult result;
-        if (auto payload = again ? store->recheck(key) : store->lookup(key);
-            payload && parseSavfPayload(*payload, result)) {
-            return result;
-        }
-        return std::nullopt;
-    };
-    std::optional<SavfResult> hit = tryLookup(false);
-    {
-        const std::lock_guard<std::mutex> stats_lock(statsMutex);
-        lookupMs.add(elapsedMs(lookup_start));
-    }
-    if (hit) {
-        ++reply.storeHits;
-        schedulerMetrics().shardHits.add(1);
-        const std::lock_guard<std::mutex> stats_lock(statsMutex);
-        ++counters.shardHits;
-        return R::Ok(std::move(*hit));
-    }
-
-    const std::lock_guard<std::mutex> engine_lock(engineMutex);
-    if ((hit = tryLookup(true))) {
-        ++reply.storeHits;
-        schedulerMetrics().inFlightHits.add(1);
-        const std::lock_guard<std::mutex> stats_lock(statsMutex);
-        ++counters.inFlightHits;
-        return R::Ok(std::move(*hit));
-    }
-
-    const Clock::time_point compute_start = Clock::now();
-    SavfResult result;
-    if (supervisor) {
-        const Supervisor::SavfCellResult cell =
-            supervisor->runSavfCell(query.structure, query.sampling);
-        if (cell.failed) {
-            return R::Err(ErrorKind::Internal,
-                          "isolated sAVF cell failed: " + cell.failReason);
-        }
-        result = cell.savf;
-    } else {
-        SamplingConfig sampling = query.sampling;
-        sampling.threads = options.threads;
-        sampling.stopFlag = cancel;
-        result = engine->savf(structure, sampling);
-    }
-    schedulerMetrics().shardsComputed.add(1);
-    {
-        const std::lock_guard<std::mutex> stats_lock(statsMutex);
-        computeMs.add(elapsedMs(compute_start));
-        ++counters.shardsComputed;
-    }
-    if (result.stopped)
-        return R::Err(ErrorKind::Timeout, "query cancelled");
-    store->store(key, serializeSavfFields(result));
     ++reply.storeMisses;
-    return R::Ok(std::move(result));
+    schedulerMetrics().shardsComputed.add(1);
+    const std::lock_guard<std::mutex> stats_lock(statsMutex);
+    ++counters.shardsComputed;
+}
+
+Result<CellRun>
+QueryScheduler::runCell(CellJob job, bool savf, QueryReply &reply)
+{
+    using R = Result<CellRun>;
+
+    // The first look, without the compute lock: warm queries from many
+    // clients resolve their shards in parallel.
+    CellRun run;
+    DelayAvfProgress progress;
+    const Clock::time_point lookup_start = Clock::now();
+    std::optional<SavfResult> savf_hit;
+    if (savf)
+        savf_hit = storedSavf(job);
+    countHits(savf ? savf_hit.has_value()
+                   : adoptStoredCycles(job, progress.completed),
+              false, reply);
+    {
+        const std::lock_guard<std::mutex> stats_lock(statsMutex);
+        lookupMs.add(elapsedMs(lookup_start));
+    }
+    if (savf_hit) {
+        run.savf = std::move(*savf_hit);
+        return R::Ok(std::move(run));
+    }
+    const uint64_t computed_before = reply.storeMisses;
+    progress.onCycleDone = [&](const InjectionCycleOutcome &) {
+        countComputed(reply);
+    };
+
+    // The runner looks again under the compute lock: a concurrent
+    // client may have computed (and stored) these shards while we
+    // waited. This is the in-flight dedupe — identical concurrent
+    // queries cost one simulation.
+    const std::lock_guard<std::mutex> engine_lock(engineMutex);
+    const Clock::time_point run_start = Clock::now();
+    job.recheck = true;
+    run = savf ? davf::runSavfCell(job)
+               : davf::runDavfCell(job, std::move(progress));
+    countHits(run.storeHits, true, reply);
+    if (savf && run.storeHits == 0 && !run.stopped && !run.failed)
+        countComputed(reply);
+    {
+        const std::lock_guard<std::mutex> stats_lock(statsMutex);
+        (reply.storeMisses > computed_before ? computeMs : aggregateMs)
+            .add(elapsedMs(run_start));
+    }
+    if (run.stopped) {
+        schedulerMetrics().cancelled.add(1);
+        const std::lock_guard<std::mutex> stats_lock(statsMutex);
+        ++counters.cancelled;
+        return R::Err(ErrorKind::Timeout, "query cancelled");
+    }
+    if (run.failed)
+        return R::Err(run.failKind, run.failReason);
+    return R::Ok(std::move(run));
 }
 
 Result<QueryScheduler::QueryReply>
@@ -370,44 +166,36 @@ QueryScheduler::run(const QuerySpec &query,
                                                    + "'");
         }
 
+        // The query's sampling verbatim keys the shards (threads and
+        // the stop flag are operational and not serialized), so every
+        // process pointed at the same store derives the same keys.
+        CellJob job;
+        job.engine = engine;
+        job.structure = structure;
+        job.sampling = query.sampling;
+        job.sampling.threads = options.threads;
+        job.sampling.stopFlag = cancel;
+        job.dispatcher = options.dispatcher;
+        job.store = &tier;
+
+        // One DelayAVF cell per delay, then the sAVF cell if asked for.
         QueryReply reply;
         std::vector<ReportRow> rows;
-        for (double d : query.delays) {
-            Result<DelayAvfResult> cell =
-                runDavfCell(*structure, query, d, cancel, reply);
-            if (!cell) {
-                if (cell.error().kind() == ErrorKind::Timeout) {
-                    schedulerMetrics().cancelled.add(1);
-                    const std::lock_guard<std::mutex> lock(statsMutex);
-                    ++counters.cancelled;
-                }
+        for (size_t i = 0; i <= query.delays.size(); ++i) {
+            const bool savf = i == query.delays.size();
+            if (savf && !query.runSavf)
+                break;
+            job.delay = savf ? 0.0 : query.delays[i];
+            Result<CellRun> cell = runCell(job, savf, reply);
+            if (!cell)
                 return R::Err(cell.error());
-            }
             ReportRow row;
-            row.kind = "davf";
+            row.kind = savf ? "savf" : "davf";
             row.benchmark = options.benchmark;
             row.structure = query.structure + options.structureLabel;
-            row.delayFraction = d;
-            row.davf = std::move(cell.value());
-            rows.push_back(std::move(row));
-        }
-
-        if (query.runSavf) {
-            Result<SavfResult> cell =
-                runSavfCell(*structure, query, cancel, reply);
-            if (!cell) {
-                if (cell.error().kind() == ErrorKind::Timeout) {
-                    schedulerMetrics().cancelled.add(1);
-                    const std::lock_guard<std::mutex> lock(statsMutex);
-                    ++counters.cancelled;
-                }
-                return R::Err(cell.error());
-            }
-            ReportRow row;
-            row.kind = "savf";
-            row.benchmark = options.benchmark;
-            row.structure = query.structure + options.structureLabel;
-            row.savf = std::move(cell.value());
+            row.delayFraction = job.delay;
+            row.davf = std::move(cell.value().davf);
+            row.savf = std::move(cell.value().savf);
             rows.push_back(std::move(row));
         }
 

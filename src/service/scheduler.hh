@@ -11,14 +11,15 @@
  *  - **store hit**: the shard's outcome payload is parsed back from the
  *    journal token grammar; no simulation runs.
  *  - **store miss**: the shard is computed — in-process on the engine's
- *    thread pool, or dispatched to supervised worker processes when the
- *    scheduler was given a worker command line — and the fresh outcome
- *    is written back to the store as it completes.
+ *    thread pool, or by the ShardDispatcher the scheduler was given
+ *    (davf_serve's Supervisor) — and the fresh outcome is written back
+ *    to the store as it completes.
  *
- * Aggregation always goes through VulnerabilityEngine::delayAvf() with
- * the outcomes supplied as DelayAvfProgress::completed — the proven
- * checkpoint-resume path — so a reply assembled from cached shards is
- * bit-identical to a cold evaluation at any thread or worker count.
+ * Both run through the campaign's cell runner (campaign/cell_runner.hh):
+ * one VulnerabilityEngine::delayAvf() call per cell aggregates the
+ * stored and fresh outcomes — the proven checkpoint-resume path — so a
+ * reply assembled from cached shards is bit-identical to a cold
+ * evaluation at any thread or worker count.
  *
  * Concurrency: the engine's delayAvf/delayAvfCycle entry points share
  * mutable snapshot state and must not run concurrently, so one mutex
@@ -36,11 +37,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "campaign/cell_runner.hh"
 #include "core/report.hh"
 #include "core/shard.hh"
 #include "core/vulnerability.hh"
@@ -49,21 +50,7 @@
 #include "service/result_store.hh"
 #include "util/stats.hh"
 
-namespace davf {
-class Supervisor;
-}
-
 namespace davf::service {
-
-/**
- * The content-addressed store key of one shard under one workspace
- * build fingerprint. Shared by the query scheduler and the net
- * coordinator's cache tier (src/net/coordinator.hh), so a shard
- * computed by either is a hit for the other. The spec's sweep list is
- * left out: it changes how a worker computes the shard, not what.
- */
-std::string shardStoreKey(const std::string &fingerprint,
-                          const ShardSpec &spec);
 
 /** Monotonic scheduler counters (store counters live in StoreStats). */
 struct SchedulerStats
@@ -94,27 +81,23 @@ class QueryScheduler
         unsigned threads = 0;
 
         /**
-         * Worker command line for process-isolated compute; empty runs
-         * misses in-process on the engine thread pool.
+         * Where misses are computed: null runs them in-process on the
+         * engine thread pool. Not owned; must outlive the scheduler.
+         * Cancellation takes effect between cells once dispatched.
          */
-        std::vector<std::string> workerArgv;
-
-        /** Worker pool size / retry budget / memory cap (process mode). */
-        unsigned workers = 1;
-        unsigned maxRetries = 2;
-        uint64_t workerMemMb = 0;
+        ShardDispatcher *dispatcher = nullptr;
     };
 
     /**
      * @p fingerprint is the workspace build fingerprint the store keys
      * are derived from (Workspace::fingerprint(), or any stable token
-     * in tests). The engine, registry, and store must outlive this.
+     * in tests; shardStoreKey). The engine, registry, and store must
+     * outlive this.
      */
     QueryScheduler(VulnerabilityEngine &engine,
                    const StructureRegistry &registry,
                    std::string fingerprint, ResultStore &store,
                    Options options);
-    ~QueryScheduler();
 
     QueryScheduler(const QueryScheduler &) = delete;
     QueryScheduler &operator=(const QueryScheduler &) = delete;
@@ -151,29 +134,23 @@ class QueryScheduler
     std::string statsJson() const;
 
   private:
-    Result<DelayAvfResult> runDavfCell(const Structure &structure,
-                                       const QuerySpec &query, double d,
-                                       const std::atomic<bool> *cancel,
-                                       QueryReply &reply);
-    Result<SavfResult> runSavfCell(const Structure &structure,
-                                   const QuerySpec &query,
-                                   const std::atomic<bool> *cancel,
-                                   QueryReply &reply);
+    /** One DelayAVF or sAVF cell: the first store look without the
+     *  compute lock, then the runner (and its recheck) under it. */
+    Result<CellRun> runCell(CellJob job, bool savf, QueryReply &reply);
 
-    /** Persist one freshly computed outcome under its shard key. */
-    void storeOutcome(ShardSpec spec,
-                      const InjectionCycleOutcome &outcome);
+    /** Tally @p hits shards taken from the store, on the first look
+     *  (shardHits) or on the recheck under the compute lock. */
+    void countHits(uint64_t hits, bool recheck, QueryReply &reply);
+    void countComputed(QueryReply &reply);
 
     VulnerabilityEngine *engine;
     const StructureRegistry *registry;
-    std::string fingerprint;
     ResultStore *store;
+    ShardStore tier;
     Options options;
 
     /** Serializes every engine compute (see file comment). */
     std::mutex engineMutex;
-
-    std::unique_ptr<Supervisor> supervisor; ///< Process-isolation mode.
 
     mutable std::mutex statsMutex;
     SchedulerStats counters;

@@ -40,7 +40,6 @@ const char *const kKnownPoints[] = {
     "index.split_apply",
     "index.split_journal",
     "index.tail_repair",
-    "net.store_write",
     "quarantine.save",
     "store.publish",
 };

@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -42,6 +43,7 @@
 #include "src/core/vulnerability.hh"
 #include "src/isa/assembler.hh"
 #include "src/service/protocol.hh"
+#include "src/service/result_store.hh"
 #include "src/service/workspace.hh"
 
 namespace davf {
@@ -486,6 +488,56 @@ TEST(AttrEngine, JournalRoundTripsAttributionTables)
     EXPECT_TRUE(reparsed.attrValid);
     EXPECT_EQ(reparsed.attribution, result.attribution);
     EXPECT_EQ(resultText(reparsed), text);
+}
+
+/** Occurrences of @p needle in @p haystack. */
+size_t
+countOf(const std::string &haystack, const std::string &needle)
+{
+    size_t count = 0;
+    for (size_t at = haystack.find(needle); at != std::string::npos;
+         at = haystack.find(needle, at + 1))
+        ++count;
+    return count;
+}
+
+TEST(AttrEngine, StoredOutcomesAreV3ExactlyWhenTheyCarryAttribution)
+{
+    // The cell runner's store tier writes an outcome with an
+    // attribution section as a v3 record (old readers see a clean
+    // future-version miss) and a plain one as v2, in every mode.
+    service::Workspace &ws = workspace();
+    for (const bool attribution : {true, false}) {
+        SCOPED_TRACE(attribution ? "attribution" : "plain");
+        const std::string dir = tempPath("attr_store");
+        std::filesystem::remove_all(dir);
+        CampaignOptions opts;
+        opts.benchmark = "popcount";
+        opts.structures = {"ALU"};
+        opts.delays = {0.5};
+        opts.sampling = smallSampling();
+        opts.sampling.maxInjectionCycles = 2;
+        opts.sampling.maxWires = 12;
+        opts.sampling.attribution = attribution;
+        size_t cycles = 0;
+        {
+            service::ResultStore results({.dir = dir});
+            ShardStore tier(results, ws.fingerprint());
+            opts.store = &tier;
+            Campaign campaign(ws.engine(), ws.structures(), opts);
+            const CampaignSummary summary = campaign.run();
+            ASSERT_EQ(summary.cellsFailed, 0u);
+            cycles = ws.engine().injectionCycles(opts.sampling).size();
+            ASSERT_EQ(results.stats().writes, cycles);
+        }
+        const std::string segments = slurp(dir + "/segments.davf");
+        EXPECT_EQ(countOf(segments, "davf-store v3\n"),
+                  attribution ? cycles : 0u);
+        EXPECT_EQ(countOf(segments, "davf-store v2\n"),
+                  attribution ? 0u : cycles);
+        EXPECT_EQ(countOf(segments, " attr "), attribution ? cycles : 0u);
+        std::filesystem::remove_all(dir);
+    }
 }
 
 } // namespace

@@ -20,7 +20,12 @@
  *    -> bisect -> quarantine, and exit-status classification of a
  *    worker that dies mid-frame;
  *  - the worker serve loop's delay sweep: shards carrying the sweep
- *    reuse cross-delay work with unchanged outcomes.
+ *    reuse cross-delay work with unchanged outcomes;
+ *  - the result store as the cell runner's cache tier, in thread,
+ *    process, and net mode: a rerun computes nothing and reproduces the
+ *    journal and CSV byte for byte, and a damaged payload is recomputed;
+ *  - process-isolated serving: a query scheduler over a Supervisor
+ *    answers exactly as the in-process one does.
  *
  * The binary re-executes itself as a campaign worker when invoked with
  * --campaign-worker (rebuilding the same fixture engine), or as a
@@ -43,6 +48,8 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -53,10 +60,15 @@
 #include "src/campaign/shard_exchange.hh"
 #include "src/campaign/stop.hh"
 #include "src/campaign/supervisor.hh"
+#include "src/core/report.hh"
 #include "src/core/shard.hh"
 #include "src/core/vulnerability.hh"
 #include "src/isa/benchmarks.hh"
+#include "src/net/coordinator.hh"
+#include "src/net/frame.hh"
 #include "src/obs/metrics.hh"
+#include "src/service/result_store.hh"
+#include "src/service/scheduler.hh"
 #include "src/service/workspace.hh"
 #include "src/util/atomic_file.hh"
 #include "src/util/error.hh"
@@ -1029,6 +1041,171 @@ TEST(Campaign, HungWorkerIsKilledByTheShardDeadline)
     std::filesystem::remove_all(qdir);
 }
 
+// ------------------------------------------------ result-store tier
+
+const char *
+modeName(IsolationMode mode)
+{
+    return mode == IsolationMode::Thread    ? "thread"
+         : mode == IsolationMode::Process ? "process"
+                                            : "net";
+}
+
+/** What one campaign over an optional store produced. */
+struct StoreRun
+{
+    std::string report; ///< The davf rows, as davf_run --json prints them.
+    std::string journal;
+    std::string csv;
+    service::StoreStats stats; ///< Of this run's store instance.
+};
+
+/**
+ * Run the fixture campaign in @p mode — net mode on a coordinator with
+ * no nodes, so every shard takes the local fallback — over the store
+ * in @p store_dir (empty: no store), after @p prepare has seen it.
+ */
+StoreRun
+runOverStore(IsolationMode mode, const std::string &store_dir,
+             const std::function<void(CampaignOptions &)> &prepare = {})
+{
+    CampaignFixture fixture;
+    CampaignOptions opts = mode == IsolationMode::Process
+        ? processOptions(fixture, 2)
+        : fixture.options();
+    opts.isolate = mode;
+    opts.checkpointPath = tempPath("over_store.ckpt");
+    opts.csvPath = tempPath("over_store.csv");
+    if (prepare)
+        prepare(opts);
+
+    std::unique_ptr<service::ResultStore> results;
+    std::unique_ptr<ShardStore> tier;
+    if (!store_dir.empty()) {
+        results = std::make_unique<service::ResultStore>(
+            service::ResultStore::Options{.dir = store_dir});
+        tier = std::make_unique<ShardStore>(*results, "test-fp");
+        opts.store = tier.get();
+    }
+    std::unique_ptr<net::Coordinator> coordinator;
+    if (mode == IsolationMode::Net) {
+        VulnerabilityEngine &engine = *fixture.engine;
+        const StructureRegistry &registry = *fixture.registry;
+        net::CoordinatorOptions net_options;
+        net_options.localCycle = [&](const ShardSpec &spec) {
+            return engine.delayAvfCycle(*registry.find(spec.structure),
+                                        spec.delayFraction, spec.cycle,
+                                        spec.sampling);
+        };
+        net_options.localSavf = [&](const ShardSpec &spec) {
+            return engine.savf(*registry.find(spec.structure),
+                               spec.sampling);
+        };
+        coordinator = std::make_unique<net::Coordinator>(
+            net::listenTcp("127.0.0.1", 0), std::move(net_options));
+        opts.dispatcher = coordinator.get();
+    }
+
+    Campaign campaign(*fixture.engine, *fixture.registry, opts);
+    const CampaignSummary summary = campaign.run();
+    EXPECT_FALSE(summary.interrupted);
+    EXPECT_EQ(summary.cellsFailed, 0u);
+    std::vector<ReportRow> rows;
+    for (const CampaignCellResult &cell : summary.cells) {
+        ReportRow row;
+        row.kind = cell.key.kind;
+        row.structure = cell.key.structure;
+        row.delayFraction = cell.delay;
+        row.davf = cell.davf;
+        row.savf = cell.savf;
+        rows.push_back(std::move(row));
+    }
+    StoreRun run{reportJson(rows), slurp(opts.checkpointPath),
+                 slurp(opts.csvPath),
+                 results ? results->stats() : service::StoreStats{}};
+    std::remove(opts.checkpointPath.c_str());
+    std::remove(opts.csvPath.c_str());
+    return run;
+}
+
+class CampaignStore : public ::testing::TestWithParam<IsolationMode>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        storeDir = tempPath(std::string("store_") + modeName(GetParam()));
+        std::filesystem::remove_all(storeDir);
+    }
+
+    void TearDown() override { std::filesystem::remove_all(storeDir); }
+
+    std::string storeDir;
+};
+
+TEST_P(CampaignStore, RerunComputesNoCycleAndMatchesByteForByte)
+{
+    const StoreRun plain = runOverStore(GetParam(), "");
+    const StoreRun first = runOverStore(GetParam(), storeDir);
+    const StoreRun rerun = runOverStore(GetParam(), storeDir);
+
+    // Every DelayAVF cycle and the sAVF cell were written once...
+    EXPECT_GT(first.stats.writes, 0u);
+    EXPECT_EQ(first.stats.misses, first.stats.writes);
+    // ... and the rerun took all of them from disk, computing nothing.
+    EXPECT_EQ(rerun.stats.misses, 0u);
+    EXPECT_EQ(rerun.stats.writes, 0u);
+    EXPECT_EQ(rerun.stats.diskHits, first.stats.writes);
+
+    for (const StoreRun *run : {&first, &rerun}) {
+        EXPECT_EQ(run->report, plain.report);
+        EXPECT_EQ(run->journal, plain.journal);
+        EXPECT_EQ(run->csv, plain.csv);
+    }
+}
+
+TEST_P(CampaignStore, TrailingJunkPayloadIsRecomputedAndRewritten)
+{
+    const StoreRun first = runOverStore(GetParam(), storeDir);
+
+    // Plant a record that parses but has a token left over: one cycle
+    // of the first cell, under the key the campaign looks up.
+    CampaignFixture fixture;
+    const CampaignOptions opts = fixture.options();
+    ShardSpec spec;
+    spec.structure = "Rnd";
+    spec.delayFraction = opts.delays[0];
+    spec.sampling = opts.sampling;
+    spec.sampling.maxFailureRate = opts.maxFailureRate;
+    spec.cycle = fixture.engine->injectionCycles(opts.sampling)[0];
+    const std::string key = shardStoreKey("test-fp", spec);
+    std::string payload;
+    {
+        service::ResultStore results({.dir = storeDir});
+        const std::optional<std::string> stored = results.lookup(key);
+        ASSERT_TRUE(stored.has_value());
+        payload = *stored;
+        results.store(key, payload + " 7");
+    }
+
+    const StoreRun rerun = runOverStore(GetParam(), storeDir);
+    EXPECT_EQ(rerun.stats.writes, 1u); // That cycle alone, recomputed.
+    EXPECT_EQ(rerun.stats.misses, 0u);
+    EXPECT_EQ(rerun.report, first.report);
+    EXPECT_EQ(rerun.journal, first.journal);
+    EXPECT_EQ(rerun.csv, first.csv);
+    service::ResultStore results({.dir = storeDir});
+    EXPECT_EQ(results.lookup(key), payload);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, CampaignStore,
+    ::testing::Values(IsolationMode::Thread, IsolationMode::Process,
+                      IsolationMode::Net),
+    [](const ::testing::TestParamInfo<IsolationMode> &info) {
+        return std::string(modeName(info.param));
+    });
+
 TEST(Supervisor, CycleShardsStayOnTheirOwnerSlot)
 {
     // Cycle index j of every cell runs on slot j mod pool (the CSV's
@@ -1103,15 +1280,24 @@ TEST(Supervisor, WorkerDyingMidFrameIsClassifiedByItsExitStatus)
         options.backoffBaseMs = 1.0;
         options.maxQuarantinePerCell = 1;
         options.metricsCsvPath = metrics;
-        Supervisor supervisor(options);
+        CampaignFixture fixture;
+        Supervisor supervisor(options, *fixture.engine, *fixture.registry);
+        ShardDispatcher &dispatcher = supervisor;
 
         // Every probe dies the same way, so bisection quarantines wire
         // index 0, and the re-run exhausts the per-cell budget.
-        const Supervisor::DavfCellResult result = supervisor.runDavfCell(
-            "Rnd", 0.5, {7}, {3, 5}, SamplingConfig{}, {}, nullptr);
-        ASSERT_EQ(result.quarantined.size(), 1u) << c.how;
-        EXPECT_EQ(result.quarantined[0].wireIndex, 0u);
-        EXPECT_EQ(result.quarantined[0].reason, c.reason);
+        SamplingConfig sampling;
+        sampling.maxWires = 2;
+        const ShardDispatcher::CellResult result = dispatcher.runDavfCell(
+            "Rnd", 0.5, {7}, sampling, nullptr, {});
+        const std::vector<QuarantineRecord> &quarantined =
+            supervisor.quarantined();
+        ASSERT_EQ(quarantined.size(), 1u) << c.how;
+        EXPECT_EQ(quarantined[0].wireIndex, 0u);
+        EXPECT_EQ(quarantined[0].wire,
+                  fixture.engine->sampledWires(
+                      *fixture.registry->find("Rnd"), sampling)[0]);
+        EXPECT_EQ(quarantined[0].reason, c.reason);
         EXPECT_TRUE(result.failed);
 
         const std::string csv = slurp(metrics);
@@ -1122,6 +1308,53 @@ TEST(Supervisor, WorkerDyingMidFrameIsClassifiedByItsExitStatus)
         EXPECT_EQ(csv.find(",lost,"), std::string::npos) << csv;
         std::remove(metrics.c_str());
     }
+}
+
+TEST(Supervisor, ServesQueriesByteIdenticallyToInProcess)
+{
+    // davf_serve --isolate process: a scheduler whose misses go to
+    // supervised workers answers cold and warm queries exactly as the
+    // in-process scheduler does, and its warm queries are all hits.
+    CampaignFixture fixture;
+    service::QuerySpec query;
+    query.structure = "Rnd";
+    query.delays = {0.3, 0.6};
+    query.runSavf = true;
+    query.sampling = fixture.options().sampling;
+    const uint64_t shards =
+        query.delays.size()
+            * fixture.engine->injectionCycles(query.sampling).size()
+        + 1;
+
+    service::ResultStore local_store({});
+    service::QueryScheduler::Options local_options;
+    local_options.benchmark = "rndtrace";
+    service::QueryScheduler local(*fixture.engine, *fixture.registry,
+                                  "test-fp", local_store, local_options);
+    const auto expected = local.run(query);
+    ASSERT_TRUE(expected.ok()) << expected.error().what();
+
+    SupervisorOptions sup;
+    sup.workerArgv = {Subprocess::selfExePath(), "--campaign-worker"};
+    sup.workers = 2;
+    Supervisor supervisor(sup, *fixture.engine, *fixture.registry);
+    service::ResultStore store({});
+    service::QueryScheduler::Options options = local_options;
+    options.dispatcher = &supervisor;
+    service::QueryScheduler isolated(*fixture.engine, *fixture.registry,
+                                     "test-fp", store, options);
+
+    const auto cold = isolated.run(query);
+    ASSERT_TRUE(cold.ok()) << cold.error().what();
+    EXPECT_EQ(cold.value().reportJson, expected.value().reportJson);
+    EXPECT_EQ(cold.value().storeMisses, shards);
+
+    const auto warm = isolated.run(query);
+    ASSERT_TRUE(warm.ok()) << warm.error().what();
+    EXPECT_EQ(warm.value().reportJson, expected.value().reportJson);
+    EXPECT_EQ(warm.value().storeHits, shards);
+    EXPECT_EQ(warm.value().storeMisses, 0u);
+    EXPECT_TRUE(supervisor.quarantined().empty());
 }
 
 // ------------------------------------------------- worker delay sweep

@@ -24,7 +24,9 @@ run_config() {
 # and the deterministic crash hook armed. The supervisor must retry,
 # bisect the crash down to one injection, quarantine it, and still
 # complete with exit 0 — under sanitizers, so the worker protocol and
-# the bisection path get ASan/UBSan coverage on every CI run.
+# the bisection path get ASan/UBSan coverage on every CI run. A rerun
+# over the same --store-dir must then compute no cycle and reproduce
+# the journal and CSV byte for byte.
 # RLIMIT_AS (--worker-mem-mb) is incompatible with ASan's shadow
 # mappings and is deliberately not passed here.
 isolation_smoke() {
@@ -33,13 +35,16 @@ isolation_smoke() {
     rm -rf "$smoke_dir"
     mkdir -p "$smoke_dir"
     echo "=== isolation smoke $build_dir" >&2
-    DAVF_TEST_FAULT='crash@ALU:*:3' \
-        "$build_dir/tools/davf_run" \
-        --benchmark popcount --structure ALU --delays 0.5:0.9:0.4 \
-        --cycles 2 --wires 12 --isolate process --workers 2 \
-        --max-retries 1 --backoff-ms 1 --max-failure-rate 0.5 \
-        --quarantine-dir "$smoke_dir/quarantine" \
-        --shard-metrics-csv "$smoke_dir/shards.csv" \
+    iso_sweep() {
+        DAVF_TEST_FAULT='crash@ALU:*:3' \
+            "$build_dir/tools/davf_run" \
+            --benchmark popcount --structure ALU --delays 0.5:0.9:0.4 \
+            --cycles 2 --wires 12 --isolate process --workers 2 \
+            --max-retries 1 --backoff-ms 1 --max-failure-rate 0.5 \
+            --quarantine-dir "$smoke_dir/quarantine" \
+            --store-dir "$smoke_dir/store" "$@"
+    }
+    iso_sweep --shard-metrics-csv "$smoke_dir/shards.csv" \
         --checkpoint "$smoke_dir/journal.ckpt" \
         --csv "$smoke_dir/davf.csv"
     quarantined=$(ls "$smoke_dir/quarantine"/*.qr 2>/dev/null | wc -l)
@@ -69,8 +74,26 @@ isolation_smoke() {
              "(or no ok rows, or no worker column)" >&2
         exit 1
     fi
+    iso_sweep --checkpoint "$smoke_dir/rerun.ckpt" \
+        --csv "$smoke_dir/rerun.csv" \
+        --metrics-json "$smoke_dir/rerun-metrics.json" 2>/dev/null
+    if ! cmp -s "$smoke_dir/journal.ckpt" "$smoke_dir/rerun.ckpt" \
+        || ! cmp -s "$smoke_dir/davf.csv" "$smoke_dir/rerun.csv"; then
+        echo "isolation smoke: rerun over the store changed the bytes" >&2
+        exit 1
+    fi
+    misses=$(sed -n 's/.*"store\.misses":\([0-9]*\).*/\1/p' \
+        "$smoke_dir/rerun-metrics.json")
+    hits=$(sed -n 's/.*"store\.disk_hits":\([0-9]*\).*/\1/p' \
+        "$smoke_dir/rerun-metrics.json")
+    if [ "${misses:-1}" -ne 0 ] || [ "${hits:-0}" -eq 0 ]; then
+        echo "isolation smoke: rerun over the store computed cycles" \
+             "(store.misses=$misses store.disk_hits=$hits)" >&2
+        exit 1
+    fi
     echo "=== isolation smoke ok ($quarantined quarantined," \
-         "$owned ok shards on their owner slots)" >&2
+         "$owned ok shards on their owner slots, rerun: $hits store" \
+         "hits, 0 computed)" >&2
 }
 
 # Observability smoke: metrics and tracing must never perturb results
@@ -255,7 +278,10 @@ crash_soak() {
 
     # One kill per registered point (hit 2, so at least one journal
     # write can land first when the point sits on the write path),
-    # plus the two damage shapes on the journal write itself.
+    # plus the two damage shapes on the journal write itself. Each run
+    # keeps a fresh result store, so the store.publish and index.*
+    # points fire inside davf_run and recovery resumes over the store
+    # the crash left behind.
     specs=$("$build_dir/tools/davf_store" crashpoints \
             | sed 's/$/:2=kill/')
     specs="$specs atomic_file.write=torn atomic_file.write:2=enospc"
@@ -268,7 +294,7 @@ crash_soak() {
             "$build_dir/tools/davf_run" --json \
             --benchmark popcount --structure ALU \
             --delays 0.5:0.9:0.4 --cycles 2 --wires 12 \
-            --checkpoint "$wdir/ck.ckpt" \
+            --store-dir "$wdir/store" --checkpoint "$wdir/ck.ckpt" \
             > "$wdir/out.json" 2> "$wdir/run.log" || rc=$?
         if [ "$rc" -ne 0 ]; then
             # The point fired fatally: recover in a fresh process,
@@ -277,7 +303,8 @@ crash_soak() {
             [ -f "$wdir/ck.ckpt" ] \
                 && resume_args="--resume $wdir/ck.ckpt"
             # shellcheck disable=SC2086
-            sweep $resume_args --checkpoint "$wdir/ck.ckpt" \
+            sweep $resume_args --store-dir "$wdir/store" \
+                --checkpoint "$wdir/ck.ckpt" \
                 > "$wdir/out.json" 2>> "$wdir/run.log"
         fi
         if ! cmp -s "$soak_dir/ref.json" "$wdir/out.json"; then

@@ -68,9 +68,10 @@
  *     --node-wait-ms X     how long to wait for --min-nodes before
  *                          proceeding with whatever connected
  *                          (default 30000)
- *     --store-dir D        content-addressed result store shared as a
- *                          cache tier: shards found there are not
- *                          recomputed, fresh ones are written back
+ *     --store-dir D        content-addressed result store as a cache
+ *                          tier, in every --isolate mode: cycles found
+ *                          there are not recomputed, fresh ones are
+ *                          written back
  *     --max-retries N      re-dispatches per shard after a failure
  *                          (default 2)
  *     --backoff-ms X       base of the exponential retry backoff
@@ -114,7 +115,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "service/result_store.hh"
-#include "service/scheduler.hh"
 #include "service/workspace.hh"
 #include "util/atomic_file.hh"
 #include "util/logging.hh"
@@ -495,7 +495,6 @@ runTool(int argc, char **argv)
     // Aggregation still runs through the same journal path, so the
     // report is byte-identical to a thread-mode run.
     std::unique_ptr<net::Coordinator> coordinator;
-    std::unique_ptr<service::ResultStore> net_store;
     if (opts.isolate_net) {
         campaign_options.isolate = IsolationMode::Net;
 
@@ -536,27 +535,6 @@ runTool(int argc, char **argv)
                             "local fallback: unknown structure");
                 return engine.savf(*structure, spec.sampling);
             };
-        if (!opts.store_dir.empty()) {
-            service::ResultStore::Options store_options;
-            store_options.dir = opts.store_dir;
-            net_store = std::make_unique<service::ResultStore>(
-                store_options);
-            const std::string fingerprint = workspace.fingerprint();
-            net_options.cacheLookup =
-                [&store = *net_store, fingerprint](const ShardSpec &spec)
-                -> std::optional<std::string> {
-                return store.lookup(
-                    service::shardStoreKey(fingerprint, spec));
-            };
-            net_options.cacheStore =
-                [&store = *net_store, fingerprint](
-                    const ShardSpec &spec, const std::string &payload) {
-                    store.store(
-                        service::shardStoreKey(fingerprint, spec),
-                        payload);
-                };
-        }
-
         coordinator = std::make_unique<net::Coordinator>(
             listener, std::move(net_options));
         if (opts.min_nodes > 0) {
@@ -588,6 +566,19 @@ runTool(int argc, char **argv)
         sup.shardTimeoutMs = opts.shard_timeout_ms;
         sup.quarantineDir = opts.quarantine_dir;
         sup.metricsCsvPath = opts.shard_metrics_csv;
+    }
+
+    // The result store, opened after the worker-mode return above so
+    // worker processes (which inherit --store-dir) never contend for
+    // its lock.
+    std::unique_ptr<service::ResultStore> results;
+    std::unique_ptr<ShardStore> shard_store;
+    if (!opts.store_dir.empty()) {
+        results = std::make_unique<service::ResultStore>(
+            service::ResultStore::Options{.dir = opts.store_dir});
+        shard_store = std::make_unique<ShardStore>(*results,
+                                                   workspace.fingerprint());
+        campaign_options.store = shard_store.get();
     }
 
     Campaign campaign(engine, workspace.structures(), campaign_options);

@@ -42,6 +42,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -329,20 +330,29 @@ runTool(int argc, char **argv)
     sched_options.benchmark = opts.workspace.benchmark;
     sched_options.structureLabel = opts.workspace.ecc ? " (ECC)" : "";
     sched_options.threads = opts.threads;
+    std::unique_ptr<Supervisor> supervisor;
     if (opts.isolate_process) {
         // Workers re-execute this binary with the same workspace flags
         // (so they build the same engine) plus the hidden worker flag.
-        sched_options.workerArgv.push_back(Subprocess::selfExePath());
-        sched_options.workerArgv.push_back("--benchmark");
-        sched_options.workerArgv.push_back(opts.workspace.benchmark);
+        SupervisorOptions sup;
+        sup.workerArgv = {Subprocess::selfExePath(), "--benchmark",
+                          opts.workspace.benchmark};
         if (opts.workspace.ecc)
-            sched_options.workerArgv.push_back("--ecc");
+            sup.workerArgv.push_back("--ecc");
         if (opts.workspace.staPeriod)
-            sched_options.workerArgv.push_back("--sta-period");
-        sched_options.workerArgv.push_back("--worker-shard");
-        sched_options.workers = opts.workers;
-        sched_options.maxRetries = opts.max_retries;
-        sched_options.workerMemMb = opts.worker_mem_mb;
+            sup.workerArgv.push_back("--sta-period");
+        sup.workerArgv.push_back("--worker-shard");
+        sup.workers = opts.workers;
+        sup.maxRetries = opts.max_retries;
+        sup.workerMemMb = opts.worker_mem_mb;
+        // No quarantine directory: the fingerprint does not pin the
+        // sampled-wire order a record's index refers to, so no record
+        // is ever applied to a query.
+        sup.configHash = workspace.fingerprint();
+        sup.benchmark = opts.workspace.benchmark;
+        supervisor = std::make_unique<Supervisor>(
+            std::move(sup), workspace.engine(), workspace.structures());
+        sched_options.dispatcher = supervisor.get();
     }
     QueryScheduler scheduler(workspace.engine(), workspace.structures(),
                              workspace.fingerprint(), store,
